@@ -14,6 +14,7 @@ from .core import (
     Job,
     NormalizeResult,
     Schedule,
+    certify,
     check_feasible,
     gap_stats,
     instance,
@@ -31,6 +32,7 @@ __all__ = [
     "Job",
     "NormalizeResult",
     "Schedule",
+    "certify",
     "check_feasible",
     "gap_stats",
     "instance",

@@ -195,6 +195,59 @@ def validate(schedule: Schedule, inst: Instance,
     return v
 
 
+def certify(schedule: Schedule, inst: Instance, constraints: Constraints | None,
+            value: int, measure: str) -> None:
+    """Raise GapSchedError unless ``schedule`` is a witness for ``value``.
+
+    The schedule must pass validate() under ``constraints``, and its
+    ``measure`` -- "gap_count" or "max_separation" (both 0 on an empty
+    schedule), "count" or "weight" -- must equal ``value``.  Every problem
+    found is listed in the message.
+    """
+    problems = validate(schedule, inst, constraints)
+    if measure == "count":
+        got = len(schedule.assignment)
+    elif measure == "weight":
+        weights = {j.id: j.weight for j in inst.jobs}
+        got = sum(weights.get(j, 0) for j in schedule.assignment)
+    elif measure in ("gap_count", "max_separation"):
+        got = getattr(gap_stats(schedule), measure) if schedule.assignment else 0
+    else:
+        raise GapSchedError(f"unknown measure {measure!r}")
+    if got != value:
+        problems.append(f"claimed {measure} {value}, witness has {got}")
+    if problems:
+        raise GapSchedError("certificate failed: " + "; ".join(problems))
+
+
+def require_normalized(inst: Instance, feasible: bool = False) -> None:
+    """Raise unless every job has a deadline and releases and deadlines are
+    pairwise distinct; with ``feasible``, also raise InfeasibleError
+    carrying an overfull window when no full schedule exists."""
+    if not inst.has_deadlines:
+        raise GapSchedError("deadline instance required")
+    if not (inst.releases_distinct() and inst.deadlines_distinct()):
+        raise GapSchedError("instance must be normalized to distinct "
+                            "releases and deadlines first")
+    if feasible:
+        res = check_feasible(inst)
+        if not res.feasible:
+            raise InfeasibleError(f"infeasible: window {res.witness} is overfull",
+                                  witness=res.witness)
+
+
+START = "__start__"
+END = "__end__"
+
+
+def augment(inst: Instance) -> list[Job]:
+    """Deadline-sorted jobs between tight sentinel jobs START and END, two
+    slots outside the instance's span."""
+    lo = min(j.release for j in inst.jobs) - 2
+    hi = max(j.deadline for j in inst.jobs) + 2
+    return [Job(START, lo, lo)] + inst.by_deadline() + [Job(END, hi, hi)]
+
+
 @dataclass(frozen=True)
 class NormalizeResult:
     instance: Instance
@@ -297,9 +350,11 @@ def check_feasible(inst: Instance) -> FeasibilityResult:
 
 
 def _hall_witness(inst: Instance) -> tuple[int, int]:
-    """An interval [u, v] holding more than v - u + 1 whole job windows.
+    """An interval [u, v] holding more whole job windows than its
+    max(0, v - u + 1) slots; the narrowest such window.
 
-    Searching u over releases and v over deadlines suffices.
+    Searching u over releases and v over deadlines suffices.  An inverted
+    window (v < u) qualifies only when it holds a collapsed job window.
     """
     releases = sorted({j.release for j in inst.jobs})
     deadlines = sorted({j.deadline for j in inst.jobs})
@@ -307,7 +362,7 @@ def _hall_witness(inst: Instance) -> tuple[int, int]:
     for u in releases:
         for v in deadlines:
             c = sum(1 for j in inst.jobs if j.release >= u and j.deadline <= v)
-            if c > v - u + 1:  # also catches collapsed windows (v < u)
+            if c > max(0, v - u + 1):
                 if best is None or (v - u) < (best[1] - best[0]):
                     best = (u, v)
     if best is None:

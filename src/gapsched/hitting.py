@@ -217,37 +217,6 @@ def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
     return True, HittingSet(reps)
 
 
-def _candidate_gap_values(intervals) -> list[Fraction]:
-    """All values (r_i - d_j)/k with positive numerator, k in 1..n-1."""
-    n = len(intervals)
-    diffs = sorted({iv2.start - iv1.end
-                    for iv1 in intervals for iv2 in intervals
-                    if iv2.start > iv1.end})
-    return sorted({Fraction(u, k) for u in diffs for k in range(1, n)})
-
-
-def min_max_gap_cont_reference(intervals) -> tuple[Fraction, HittingSet]:
-    """Minimize the maximum gap by binary search over the explicit
-    candidate list.  Cubic-size candidate set; used as the reference path
-    for the staged search below."""
-    zero = _zero_gap_solution(intervals)
-    if zero is not None:
-        return Fraction(0), zero
-    cands = _candidate_gap_values(intervals)
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ok, _ = viable(intervals, cands[mid])
-        if ok:
-            hi = mid
-        else:
-            lo = mid + 1
-    lam = cands[lo]
-    ok, witness = viable(intervals, lam)
-    assert ok
-    return lam, witness
-
-
 def _zero_gap_solution(intervals) -> HittingSet | None:
     if not intervals:
         return HittingSet({})
@@ -294,10 +263,7 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
 
     if not viable(intervals, v)[0]:
         # Every candidate u/k with u <= v sits at or below v, hence fails too.
-        lam = Fraction(w, n - 1)
-        ok, wit = viable(intervals, lam)
-        assert ok
-        return lam, wit
+        return _viable_witness(intervals, Fraction(w, n - 1))
 
     # Largest divisor keeping v viable; the optimum is in (v/(k0+1), v/k0].
     klo, khi = 1, n - 1
@@ -329,9 +295,13 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
             hi = mid
         else:
             lo = mid + 1
-    lam = cands[lo]
+    return _viable_witness(intervals, cands[lo])
+
+
+def _viable_witness(intervals, lam) -> tuple[Fraction, HittingSet]:
     ok, wit = viable(intervals, lam)
-    assert ok
+    if not ok:
+        raise GapSchedError(f"searched gap bound {lam} is not viable")
     return lam, wit
 
 

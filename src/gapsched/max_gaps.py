@@ -13,28 +13,29 @@ O(n) values and the total work to O(n^5).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    END,
+    START,
     Constraints,
     Instance,
-    Job,
     Schedule,
+    augment,
+    certify,
     gap_stats,
-    validate,
+    require_normalized,
 )
 from .errors import GapSchedError
-from .min_gaps import _augment, _require_normalized_feasible, _END, _START
 
 
 def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     """Maximum interior gap count over full schedules, with witness."""
-    _require_normalized_feasible(inst)
+    require_normalized(inst, feasible=True)
     if len(inst.jobs) == 0:
         return 0, Schedule(inst, {})
-    jobs = _augment(inst)
+    jobs = augment(inst)
     n = len(jobs)
     releases = [j.release for j in jobs]
     span = 3 * n
@@ -117,13 +118,9 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             return
 
     rebuild(n, top_u, top_v)
-    sched_all = Schedule(Instance(tuple(jobs)), assignment)
-    assert validate(sched_all, Instance(tuple(jobs)),
-                    Constraints(require_all=True)) == []
-    assert gap_stats(sched_all).gap_count == value + 2
-    final = {j: t for j, t in assignment.items() if j not in (_START, _END)}
-    sched = Schedule(inst, final)
-    assert validate(sched, inst, Constraints(require_all=True)) == []
+    sched = Schedule(inst, {j: t for j, t in assignment.items()
+                            if j not in (START, END)})
+    certify(sched, inst, Constraints(require_all=True), value, "gap_count")
     return value, sched
 
 
@@ -142,20 +139,20 @@ def lemma2_normalize(schedule: Schedule) -> Schedule:
         raise GapSchedError("lemma2_normalize requires distinct releases")
     rel = {j.id: j.release for j in inst.jobs}
     assignment = dict(schedule.assignment)
-    guard = 0
-    while True:
-        guard += 1
-        assert guard < 10_000, "rewrite loop failed to reach a fixpoint"
+    for _ in range(10_000):
         cur = Schedule(inst, dict(assignment))
         before = gap_stats(cur).gap_count if assignment else 0
         move = _rule_move_into_long_gap(cur, rel) or _rule_close_up_block(cur, rel)
         if move is None:
             return cur
         jid, slot = move
-        assert slot < assignment[jid]
+        if slot >= assignment[jid]:
+            raise GapSchedError(f"rewrite moved job {jid!r} right, to {slot}")
         assignment[jid] = slot
         after = gap_stats(Schedule(inst, dict(assignment))).gap_count
-        assert after >= before, "rewrite decreased the gap count"
+        if after < before:
+            raise GapSchedError("rewrite decreased the gap count")
+    raise GapSchedError("rewrite loop failed to reach a fixpoint")
 
 
 def _rule_move_into_long_gap(schedule: Schedule, rel) -> tuple | None:
@@ -186,6 +183,8 @@ def _rule_close_up_block(schedule: Schedule, rel) -> tuple | None:
             if rel[jid] < t:
                 # distinct releases put the first late job's release below
                 # the block start
-                assert rel[jid] <= blk[0] - 1
+                if rel[jid] > blk[0] - 1:
+                    raise GapSchedError(
+                        f"job {jid!r} released inside its block at {rel[jid]}")
                 return jid, blk[0] - 1
     return None

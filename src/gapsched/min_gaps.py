@@ -17,29 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    END,
+    START,
     Constraints,
     Instance,
     Job,
     Schedule,
-    check_feasible,
+    augment,
+    certify,
     edf_schedule_busy_set,
-    gap_stats,
-    validate,
+    require_normalized,
 )
-from .errors import GapSchedError, InfeasibleError
+from .errors import GapSchedError
 
 _INF = np.int64(2**31)
-
-_START = "__start__"
-_END = "__end__"
-
-
-def _augment(inst: Instance) -> list[Job]:
-    """Deadline-sorted jobs with tight boundary jobs two slots outside."""
-    lo = min(j.release for j in inst.jobs) - 2
-    hi = max(j.deadline for j in inst.jobs) + 2
-    jobs = [Job(_START, lo, lo)] + inst.by_deadline() + [Job(_END, hi, hi)]
-    return jobs
 
 
 @dataclass
@@ -81,7 +72,8 @@ class MinGapsTables:
         left = self.reconstruct_busy(k - 1, a, c)
         if left and left[-1] == rc - 1:
             left = _shift_last_block(left)
-        assert not left or left[-1] == rc - 2
+        if left and left[-1] != rc - 2:
+            raise GapSchedError(f"left part ends at {left[-1]}, not {rc - 2}")
         return left + (rc - 1, rc) + self.reconstruct_busy(k - 1, c, b)
 
 
@@ -91,28 +83,17 @@ def _shift_last_block(slots: tuple[int, ...]) -> tuple[int, ...]:
     s = e
     while s - 1 in slots:
         s -= 1
-    assert s - 2 not in slots, "compression would merge blocks"
+    if s - 2 in slots:
+        raise GapSchedError("compression would merge blocks")
     return tuple(t for t in slots if t < s) + tuple(range(s - 1, e))
-
-
-def _require_normalized_feasible(inst: Instance):
-    if not inst.has_deadlines:
-        raise GapSchedError("deadline instance required")
-    if not (inst.releases_distinct() and inst.deadlines_distinct()):
-        raise GapSchedError("instance must be normalized to distinct "
-                            "releases and deadlines first")
-    res = check_feasible(inst)
-    if not res.feasible:
-        raise InfeasibleError(f"infeasible: window {res.witness} is overfull",
-                              witness=res.witness)
 
 
 def min_gaps_tables(inst: Instance) -> MinGapsTables:
     """Fill the gap/stretch tables for the sentinel-augmented instance."""
-    _require_normalized_feasible(inst)
+    require_normalized(inst, feasible=True)
     if not inst.jobs:
         raise GapSchedError("need at least one job")
-    jobs = _augment(inst)
+    jobs = augment(inst)
     n = len(jobs)
 
     by_release = sorted(range(n), key=lambda j: jobs[j].release)
@@ -185,11 +166,9 @@ def min_gaps(inst: Instance) -> tuple[int, Schedule]:
     start, end = tables.jobs[0], tables.jobs[-1]
     aug_inst = Instance(tuple(tables.jobs))
     full = edf_schedule_busy_set(aug_inst, (start.release,) + busy + (end.release,))
-    assert full is not None, "DP busy set is not schedulable"
-    assignment = {j: t for j, t in full.assignment.items()
-                  if j not in (_START, _END)}
-    sched = Schedule(inst, assignment)
-    assert validate(sched, inst, Constraints(require_all=True)) == []
-    got = gap_stats(sched).gap_count if assignment else 0
-    assert got == value, f"witness has {got} gaps, table says {value}"
+    if full is None:
+        raise GapSchedError("DP busy set is not schedulable")
+    sched = Schedule(inst, {j: t for j, t in full.assignment.items()
+                            if j not in (START, END)})
+    certify(sched, inst, Constraints(require_all=True), value, "gap_count")
     return value, sched

@@ -1,14 +1,17 @@
 """Minimize the maximum separation between consecutive busy slots.
 
-The continuous relaxation (interval hitting with minimized maximum gap)
-lower-bounds every schedule, and rounding its representatives up gives a
-schedule within the ceiling of the relaxed optimum -- except that
-rounding can collide slots when representatives are closer than one.
-The authoritative path binary-searches the integer separation bound
-directly, reusing the continuous viability greedy, whose placements are
-automatically distinct integers once deadlines are distinct.  Both paths
-run and are cross-checked; the objective is the separation (difference
-of consecutive busy slots; idle-run length plus one).
+The separation of a schedule is the largest difference of consecutive
+busy slots (idle-run length plus one).  One solve path gives the optimum:
+
+* Every schedule is a hitting set of the job windows, so its separation
+  is at least the continuous optimum lambda of min_max_gap_cont, and
+  being an integer, at least ceil(lambda).  With n >= 2 jobs the slots
+  are distinct, so it is also at least 1.
+* ``viable`` is monotone in its bound, so it succeeds at the target
+  max(ceil(lambda), 1) >= lambda.  At an integer bound, with distinct
+  deadlines, its greedy places every job at its deadline or at the
+  previous maximum plus the bound: pairwise distinct integer slots, a
+  schedule whose separation is at most the target, hence equal to it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Constraints, Instance, Schedule, gap_stats, validate
+from .core import Constraints, Instance, Schedule, certify, require_normalized
 from .errors import GapSchedError
 from .hitting import Interval, min_max_gap_cont, viable
-from .min_gaps import _require_normalized_feasible
 
 
 def _intervals(inst: Instance) -> list[Interval]:
@@ -36,84 +38,24 @@ def separation_schedule(inst: Instance, bound: int) -> Schedule | None:
     ok, hs = viable(_intervals(inst), Fraction(bound))
     if not ok:
         return None
-    assignment = {}
-    seen = set()
-    for jid, h in hs.representatives.items():
-        assert h.denominator == 1, "integer bound produced fractional slot"
-        t = int(h)
-        assert t not in seen, "viability greedy collided on a slot"
-        seen.add(t)
-        assignment[jid] = t
-    return Schedule(inst, assignment)
-
-
-def _round_continuous(inst: Instance, hs) -> Schedule | None:
-    """Round representatives up; re-pack any collided group into
-    consecutive slots around the collision point, deadline order."""
-    slots: dict[int, list] = {}
-    for j in inst.jobs:
-        t = math.ceil(hs.representatives[j.id])
-        slots.setdefault(t, []).append(j)
-    assignment = {}
-    taken = set()
-    for t in sorted(slots):
-        group = sorted(slots[t], key=lambda j: j.deadline)
-        if len(group) == 1 and t not in taken:
-            assignment[group[0].id] = t
-            taken.add(t)
-            continue
-        placed = None
-        for start in range(t - len(group) + 1, t + 1):
-            cand = list(range(start, start + len(group)))
-            if any(c in taken for c in cand):
-                continue
-            if all(j.release <= c <= j.deadline
-                   for j, c in zip(group, cand)):
-                placed = cand
-                break
-        if placed is None:
-            return None
-        for j, c in zip(group, placed):
-            assignment[j.id] = c
-            taken.add(c)
+    assignment = {jid: int(h) for jid, h in hs.representatives.items()
+                  if h.denominator == 1}
+    if (len(assignment) < len(hs.representatives)
+            or len(set(assignment.values())) < len(assignment)):
+        raise GapSchedError(f"viability greedy at bound {bound} did not give "
+                            "distinct integer slots")
     return Schedule(inst, assignment)
 
 
 def min_max_gap(inst: Instance) -> tuple[int, Schedule]:
     """Schedule all jobs minimizing the maximum separation."""
-    _require_normalized_feasible(inst)
-    n = len(inst.jobs)
-    if n == 0:
-        return 0, Schedule(inst, {})
-    if n == 1:
-        j = inst.jobs[0]
-        return 0, Schedule(inst, {j.id: j.release})
-
-    lam, hs = min_max_gap_cont(_intervals(inst))
+    require_normalized(inst, feasible=True)
+    if len(inst.jobs) <= 1:
+        return 0, Schedule(inst, {j.id: j.release for j in inst.jobs})
+    lam, _ = min_max_gap_cont(_intervals(inst))
     target = max(math.ceil(lam), 1)
-
-    lo, hi = 1, max(j.deadline for j in inst.jobs) - min(j.release for j in inst.jobs)
-    best = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if separation_schedule(inst, mid) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    sched = separation_schedule(inst, lo)
-    assert sched is not None, "top of the search range must be viable"
-    stats = gap_stats(sched)
-    assert lam <= stats.max_separation <= target
-    assert validate(sched, inst, Constraints(require_all=True)) == []
-
-    rounded = _round_continuous(inst, hs)
-    if rounded is not None and validate(rounded, inst,
-                                        Constraints(require_all=True)) == []:
-        rstats = gap_stats(rounded)
-        if rstats.max_separation <= target and rstats.max_separation < stats.max_separation:
-            # cannot happen: the search result is optimal; guard anyway
-            raise GapSchedError("rounding beat the separation search")
-        if rstats.max_separation == stats.max_separation:
-            sched, stats = rounded, rstats
-
-    return stats.max_separation, sched
+    sched = separation_schedule(inst, target)
+    if sched is None:
+        raise GapSchedError(f"separation {target} >= {lam} is not viable")
+    certify(sched, inst, Constraints(require_all=True), target, "max_separation")
+    return target, sched

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .core import Constraints, Instance, Schedule, gap_stats, validate
+from .core import Constraints, Instance, Schedule, certify, require_normalized
 from .errors import GapSchedError, InfeasibleError
 
 _NEG = -1  # value vectors hold weights >= 0; any negative means infeasible
@@ -141,14 +141,6 @@ class _Solver:
         self.reconstruct(k - 1, t + 1, v, g - h, out)
 
 
-def _require_normalized(inst: Instance):
-    if not inst.has_deadlines:
-        raise GapSchedError("deadline instance required")
-    if not (inst.releases_distinct() and inst.deadlines_distinct()):
-        raise GapSchedError("instance must be normalized to distinct "
-                            "releases and deadlines first")
-
-
 def _solve(solver: _Solver, counted_budget: int):
     inst = solver.inst
     u0 = min(j.release for j in inst.jobs) - 1
@@ -166,15 +158,14 @@ def max_throughput(inst: Instance, gaps: int,
     interior gaps."""
     if gaps < 0:
         raise GapSchedError("gap budget must be non-negative")
-    _require_normalized(inst)
+    require_normalized(inst)
     if not inst.jobs:
         return 0, Schedule(inst, {})
     solver = _Solver(inst, weighted, gaps + 2)
     value, out = _solve(solver, gaps + 2)
     sched = Schedule(inst, out)
-    assert validate(sched, inst, Constraints(max_gaps=gaps)) == []
-    got = (sum(inst.job(j).weight for j in out) if weighted else len(out))
-    assert got == value
+    certify(sched, inst, Constraints(max_gaps=gaps), value,
+            "weight" if weighted else "count")
     return value, sched
 
 
@@ -182,7 +173,7 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
                             weighted: bool = False) -> tuple[int, Schedule]:
     """Fewest interior gaps among schedules reaching the throughput
     threshold."""
-    _require_normalized(inst)
+    require_normalized(inst)
     if threshold <= 0:
         return 0, Schedule(inst, {})
     if not weighted and edf_max_throughput(inst) < threshold:
@@ -193,7 +184,7 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
         value, out = _solve(solver, g + 2)
         if value >= threshold:
             sched = Schedule(inst, out)
-            assert validate(sched, inst, Constraints(
-                max_gaps=g, min_throughput=threshold, weighted=weighted)) == []
+            certify(sched, inst, Constraints(min_throughput=threshold,
+                                             weighted=weighted), g, "gap_count")
             return g, sched
     raise InfeasibleError(f"throughput {threshold} is unreachable")

@@ -1,6 +1,10 @@
 """Core model: normalization, EDF feasibility, gap stats, block shifting."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from gapsched.core import (
     Instance,
     Job,
     Schedule,
+    certify,
     check_feasible,
     edf_schedule_busy_set,
     gap_stats,
@@ -104,7 +109,12 @@ class TestCheckFeasible:
         assert not res.feasible
         u, v = res.witness
         inside = sum(1 for j in inst.jobs if j.release >= u and j.deadline <= v)
-        assert inside > v - u + 1
+        assert inside > max(0, v - u + 1)
+        # Two jobs on slot 0 overfill (0, 0); the empty inverted window
+        # (5, 0) is no witness.
+        assert check_feasible(make_instance([(0, 0), (0, 0), (5, 5)])).witness == (0, 0)
+        # A collapsed job window is its own witness.
+        assert check_feasible(make_instance([(3, 1), (0, 4)])).witness == (3, 1)
 
     def test_edf_schedule_validates(self):
         rng = random.Random(3)
@@ -244,3 +254,58 @@ class TestShiftBlockLeft:
             assert validate(out, inst) == []
             if len(blocks) > 1:
                 assert gap_stats(out).gap_count == gap_stats(s).gap_count
+
+
+class TestCertify:
+    inst = make_instance([(0, 3), (1, 4), (6, 8)])
+    full = Constraints(require_all=True)
+
+    def test_two_jobs_in_one_slot(self):
+        with pytest.raises(GapSchedError, match="slot 1 assigned to both"):
+            certify(sched(self.inst, {0: 1, 1: 1, 2: 6}), self.inst, self.full, 1,
+                    "gap_count")
+
+    def test_slot_outside_window(self):
+        with pytest.raises(GapSchedError, match="after deadline"):
+            certify(sched(self.inst, {0: 0, 1: 1, 2: 9}), self.inst, self.full, 1,
+                    "gap_count")
+
+    def test_missing_job_under_require_all(self):
+        with pytest.raises(GapSchedError, match="not scheduled"):
+            certify(sched(self.inst, {0: 0, 1: 1}), self.inst, self.full, 0,
+                    "gap_count")
+
+    def test_gap_budget_exceeded(self):
+        with pytest.raises(GapSchedError, match="exceeds budget 1"):
+            certify(sched(self.inst, {0: 0, 1: 3, 2: 6}), self.inst,
+                    Constraints(max_gaps=1), 2, "gap_count")
+
+    def test_claimed_value_off_by_one(self):
+        s = sched(self.inst, {0: 0, 1: 1, 2: 6})
+        for value, measure in [(0, "gap_count"), (4, "max_separation"),
+                               (4, "count"), (2, "weight")]:
+            with pytest.raises(GapSchedError, match=f"claimed {measure} {value}"):
+                certify(s, self.inst, self.full, value, measure)
+
+    def test_every_violation_is_listed(self):
+        with pytest.raises(GapSchedError) as err:
+            certify(sched(self.inst, {0: 1, 1: 1}), self.inst, self.full, 7,
+                    "gap_count")
+        msg = str(err.value)
+        assert "slot 1 assigned to both" in msg
+        assert "not scheduled" in msg
+        assert "claimed gap_count 7" in msg
+
+    def test_survives_optimize_flag(self):
+        code = ("from gapsched.core import Constraints, Schedule, certify, instance\n"
+                "inst = instance([(0, 3), (1, 4)])\n"
+                "try:\n"
+                "    certify(Schedule(inst, {0: 1, 1: 1}), inst,\n"
+                "            Constraints(require_all=True), 0, 'gap_count')\n"
+                "except Exception as e:\n"
+                "    print(type(e).__name__)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "GapSchedError"

@@ -16,7 +16,6 @@ from gapsched.hitting import (
     min_hit_with_throughput,
     min_max_flow_cont,
     min_max_gap_cont,
-    min_max_gap_cont_reference,
     min_points_flow_bound,
     viable,
 )
@@ -235,6 +234,32 @@ def brute_min_max_gap(intervals):
         if best is None or gap < best:
             best = gap
     return best
+
+
+def _candidate_gap_values(intervals) -> list[Fraction]:
+    """All values (r_i - d_j)/k with positive numerator, k in 1..n-1."""
+    n = len(intervals)
+    diffs = sorted({iv2.start - iv1.end
+                    for iv1 in intervals for iv2 in intervals
+                    if iv2.start > iv1.end})
+    return sorted({Fraction(u, k) for u in diffs for k in range(1, n)})
+
+
+def min_max_gap_cont_reference(intervals):
+    """Minimize the maximum gap by binary search over the explicit
+    candidate list, zero included.  Cubic-size candidate set; the
+    reference path for the staged search in min_max_gap_cont."""
+    cands = [Fraction(0)] + _candidate_gap_values(intervals)
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if viable(intervals, cands[mid])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    ok, witness = viable(intervals, cands[lo])
+    assert ok
+    return cands[lo], witness
 
 
 class TestMinMaxGapCont:
