@@ -40,6 +40,31 @@ def random_feasible_normalized(rng: random.Random, n: int, horizon: int,
     return None
 
 
+def planted_normalized(rng: random.Random, n: int, horizon: int, reach: int,
+                       max_weight: int = 1) -> Instance:
+    """n jobs around a planted schedule on n distinct slots of [0, horizon).
+
+    Each window reaches up to ``reach`` slots either side of its job's slot.
+    A taken release moves left and a taken deadline right until free, so
+    releases and deadlines are distinct and the planted schedule stays
+    valid.  Weights are drawn from 1..max_weight.
+    """
+    releases: set[int] = set()
+    deadlines: set[int] = set()
+    jobs = []
+    for i, p in enumerate(sorted(rng.sample(range(horizon), n))):
+        r = p - rng.randint(0, reach)
+        while r in releases:
+            r -= 1
+        d = p + rng.randint(0, reach)
+        while d in deadlines:
+            d += 1
+        releases.add(r)
+        deadlines.add(d)
+        jobs.append(Job(i, r, d, rng.randint(1, max_weight)))
+    return Instance(tuple(jobs))
+
+
 def all_window_multisets(n: int, horizon: int, step: int = 1):
     """Every multiset of n windows over a coarse slot grid."""
     slots = range(0, horizon, step)

@@ -1,9 +1,11 @@
 """Throughput under a gap budget, and gap minimization under a floor."""
 
+import bisect
 import random
 
 import pytest
 
+from gapsched import throughput
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
 from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.oracle import oracle_max_throughput, oracle_min_gaps_throughput
@@ -13,7 +15,12 @@ from gapsched.throughput import (
     min_gaps_for_throughput,
 )
 
-from helpers import make_instance, random_feasible_normalized, random_windows
+from helpers import (
+    make_instance,
+    planted_normalized,
+    random_feasible_normalized,
+    random_windows,
+)
 from gapsched.core import normalize_distinct
 
 
@@ -30,6 +37,44 @@ def random_normalized(rng, n, horizon, weights=False):
     windows = random_windows(rng, n, horizon)
     ws = [rng.randint(0, 4) for _ in windows] if weights else None
     return normalized(windows, ws)
+
+
+def tight_chain(k, weight=1):
+    """k one-slot windows two slots apart: m of them need m - 1 gaps."""
+    return Instance(tuple(Job(i, 2 * i, 2 * i, weight) for i in range(k)))
+
+
+def naive_canon(solver, k, u, v):
+    """The canonical window of (k, u, v) by rescanning the jobs; the
+    reference for the precomputed map behind ``_Solver._canon``."""
+    if u > v:
+        return "base", solver.empty_window
+    releases = sorted(j.release for j in solver.jobs)
+    if u not in releases:
+        i = bisect.bisect_left(releases, u)
+        if i == len(releases) or releases[i] > v:
+            return "base", solver.empty_jobs
+        u = releases[i] - 1
+    while k > 0 and not (u <= solver.jobs[k - 1].release <= v):
+        k -= 1
+    if k == 0:
+        return "base", solver.empty_jobs
+    dmax = max(solver.jobs[i].deadline for i in range(k)
+               if u <= solver.jobs[i].release <= v)
+    return "cell", (k, u, min(v, dmax + 1))
+
+
+def record_budgets(monkeypatch):
+    """Interior budgets of every DP solver built, in order."""
+    budgets = []
+
+    class Recording(throughput._Solver):
+        def __post_init__(self):
+            budgets.append(self.budget - 2)
+            super().__post_init__()
+
+    monkeypatch.setattr(throughput, "_Solver", Recording)
+    return budgets
 
 
 class TestMaxThroughput:
@@ -105,6 +150,25 @@ class TestMinGapsForThroughput:
         with pytest.raises(InfeasibleError):
             min_gaps_for_throughput(normalized([(0, 0), (4, 4)]), 3)
 
+    def test_unreachable_thresholds_fail_at_once(self, monkeypatch):
+        edf_calls = []
+
+        def counting_edf(inst):
+            edf_calls.append(inst)
+            return edf_max_throughput(inst)
+
+        monkeypatch.setattr(throughput, "edf_max_throughput", counting_edf)
+        monkeypatch.setattr(throughput, "_Solver",
+                            lambda *a: pytest.fail("the DP was built"))
+        inst = tight_chain(4, weight=3)
+        with pytest.raises(InfeasibleError):
+            min_gaps_for_throughput(inst, 13, weighted=True)
+        with pytest.raises(InfeasibleError):
+            min_gaps_for_throughput(Instance(()), 1, weighted=True)
+        with pytest.raises(InfeasibleError):
+            min_gaps_for_throughput(normalized([(0, 0), (4, 4)]), 3)
+        assert len(edf_calls) == 1
+
     def test_matches_oracle_and_duality(self):
         rng = random.Random(65)
         for trial in range(60):
@@ -140,3 +204,73 @@ class TestMinGapsForThroughput:
                     continue
                 g, _ = min_gaps_for_throughput(inst, m, weighted=True)
                 assert g == expect, (inst, m)
+
+
+class TestBudgetGrowth:
+    def test_tight_chain_crosses_every_step(self):
+        for k in range(1, 11):
+            inst = tight_chain(k)
+            for m in range(1, k + 1):
+                g, sched = min_gaps_for_throughput(inst, m)
+                assert g == m - 1, (k, m)
+                assert gap_stats(sched).gap_count == g
+                if k <= 8:
+                    assert g == oracle_min_gaps_throughput(inst, m)[0]
+
+    def test_growth_doubles_up_to_the_cap(self, monkeypatch):
+        budgets = record_budgets(monkeypatch)
+        assert min_gaps_for_throughput(tight_chain(10), 10)[0] == 9
+        assert budgets[-1] == 9
+        assert all(b < c <= 2 * b for b, c in zip(budgets, budgets[1:]))
+
+    def test_weighted_unreachable_stops_at_the_cap(self, monkeypatch):
+        # The collapsed job can never run, so the total weight is out of
+        # reach although it does not exceed the weight of all jobs.
+        jobs = tight_chain(10, weight=2).jobs + (Job(10, 21, 19, 5),)
+        budgets = record_budgets(monkeypatch)
+        with pytest.raises(InfeasibleError):
+            min_gaps_for_throughput(Instance(jobs), 25, weighted=True)
+        assert budgets[-1] == len(jobs) - 1
+
+    def test_smaller_budget_gives_same_values_and_witnesses(self):
+        rng = random.Random(68)
+        for trial in range(40):
+            inst = random_normalized(rng, rng.randint(1, 9), 16, weights=True)
+            small = throughput._Solver(inst, True, 3)
+            large = throughput._Solver(inst, True, len(inst.jobs) + 4)
+            assert small.values() == large.values()[:4]
+            for g in range(4):
+                if small.values()[g] >= 0:
+                    assert small.witness(g) == large.witness(g), (inst, g)
+
+    def test_duality_at_benchmark_scale(self):
+        inst = planted_normalized(random.Random(30), 30, 75, reach=1)
+        best = [max_throughput(inst, g)[0] for g in range(30)]
+        for m in range(1, 31):
+            g, sched = min_gaps_for_throughput(inst, m)
+            assert best[g] >= m and len(sched.assignment) >= m
+            assert g == 0 or best[g - 1] < m, (m, g)
+        assert min_gaps_for_throughput(inst, 30)[0] > 8
+
+
+class TestCanonicalWindows:
+    def test_precomputed_map_matches_rescan(self):
+        rng = random.Random(67)
+        for trial in range(60):
+            inst = random_normalized(rng, rng.randint(1, 12), 30)
+            if trial % 3 == 0:  # a collapsed job: released after its deadline
+                inst = Instance(inst.jobs + (Job(99, 40, -1),))
+            solver = throughput._Solver(inst, False, 3)
+            canon = solver._canon
+            queries = []
+
+            def recording(k, u, v):
+                queries.append((k, u, v))
+                return canon(k, u, v)
+
+            solver._canon = recording
+            vals = solver.values()
+            solver.witness(max(g for g in range(4) if vals[g] >= 0))
+            assert queries
+            for q in queries:
+                assert canon(*q) == naive_canon(solver, *q), (inst, q)
