@@ -10,7 +10,9 @@ primitives.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import GapSchedError, InfeasibleError
 
@@ -49,7 +51,8 @@ class Instance:
         return sorted(self.jobs, key=lambda j: (j.deadline, j.release))
 
     def by_release(self) -> list[Job]:
-        return sorted(self.jobs, key=lambda j: (j.release, j.deadline or j.release))
+        return sorted(self.jobs, key=lambda j: (
+            j.release, j.release if j.deadline is None else j.deadline))
 
     def job(self, job_id: JobId) -> Job:
         for j in self.jobs:
@@ -268,14 +271,29 @@ def normalize_distinct(inst: Instance) -> NormalizeResult:
     if not inst.has_deadlines:
         raise GapSchedError("normalize_distinct requires deadlines")
     order = {j.id: i for i, j in enumerate(inst.jobs)}
-    removed: list[Job] = []
+    kept, removed = _spread(inst.jobs, order)
+    # The deadline pass is the release pass in mirrored time, where
+    # (r, d) becomes (-d, -r) and the latest release keeps a contested
+    # deadline; negated tie keys keep input order on full ties.
+    kept, pulled = _spread(_mirror(kept), {k: -o for k, o in order.items()})
+    jobs = sorted(_mirror(kept), key=lambda j: j.deadline)
+    return NormalizeResult(Instance(tuple(jobs)), {j.id: j for j in jobs},
+                           tuple(removed + _mirror(pulled)))
 
-    # Release pass.  At every contested release value the job with the
-    # earliest deadline keeps it (stable input order on full ties) and the
-    # others are pushed one slot right, re-competing at their new release.
-    heap = [(j.release, j.deadline, order[j.id], j) for j in inst.jobs]
+
+def _mirror(jobs) -> list[Job]:
+    return [Job(j.id, -j.deadline, -j.release, j.weight) for j in jobs]
+
+
+def _spread(jobs, order: dict[JobId, int]) -> tuple[list[Job], list[Job]]:
+    """The release pass of normalize_distinct: at every contested release
+    the job with the earliest deadline (then the smallest ``order``) keeps
+    it, and the others move one slot right to compete again.  Returns the
+    kept jobs and those whose window collapsed, at their final windows."""
+    heap = [(j.release, j.deadline, order[j.id], j) for j in jobs]
     heapq.heapify(heap)
-    out: list[Job] = []
+    kept: list[Job] = []
+    removed: list[Job] = []
     prev = None
     while heap:
         r, d, o, j = heapq.heappop(heap)
@@ -285,30 +303,9 @@ def normalize_distinct(inst: Instance) -> NormalizeResult:
             else:
                 heapq.heappush(heap, (prev + 1, d, o, j))
             continue
-        out.append(Job(j.id, r, d, j.weight))
+        kept.append(Job(j.id, r, d, j.weight))
         prev = r
-
-    # Deadline pass, symmetric: the job with the latest release keeps a
-    # contested deadline, the others are pulled one slot left.
-    heap2 = [(-j.deadline, -j.release, -order[j.id], j) for j in out]
-    heapq.heapify(heap2)
-    jobs2: list[Job] = []
-    prev = None
-    while heap2:
-        nd, nr, no, j = heapq.heappop(heap2)
-        d = -nd
-        if prev is not None and d >= prev:
-            if prev - 1 < j.release:
-                removed.append(Job(j.id, j.release, prev - 1, j.weight))
-            else:
-                heapq.heappush(heap2, (-(prev - 1), nr, no, j))
-            continue
-        jobs2.append(Job(j.id, j.release, d, j.weight))
-        prev = d
-
-    jobs2.sort(key=lambda j: (j.deadline, j.release))
-    norm = Instance(tuple(jobs2))
-    return NormalizeResult(norm, {j.id: j for j in jobs2}, tuple(removed))
+    return kept, removed
 
 
 @dataclass(frozen=True)
@@ -318,53 +315,82 @@ class FeasibilityResult:
     witness: tuple[int, int] | None = None
 
 
+def _edf(inst: Instance, slots=None) -> dict[JobId, int]:
+    """Earliest-deadline-first matching of jobs to slots.
+
+    At each slot the pending jobs past their deadline are dropped and the
+    one with the earliest deadline runs, ties in release order; a job with
+    no deadline is never late.  The slots are ``slots``, or with None every
+    slot from the first release on, idle stretches skipped.  This greedy
+    is a maximum matching of the convex bipartite graph of jobs and slots
+    (Glover 1967).
+    """
+    jobs = inst.by_release()
+    ahead = None if slots is None else iter(sorted(set(slots)))
+    assignment: dict[JobId, int] = {}
+    pending: list[tuple[float, int, JobId]] = []  # (deadline, order, id)
+    i, t = 0, None
+    while True:
+        if slots is not None:
+            t = next(ahead, None)
+        elif pending:
+            t += 1
+        else:
+            t = jobs[i].release if i < len(jobs) else None
+        if t is None:
+            break
+        while i < len(jobs) and jobs[i].release <= t:
+            d = jobs[i].deadline
+            heapq.heappush(pending, (math.inf if d is None else d, i, jobs[i].id))
+            i += 1
+        while pending and pending[0][0] < t:
+            heapq.heappop(pending)
+        if pending:
+            assignment[heapq.heappop(pending)[2]] = t
+    return assignment
+
+
 def check_feasible(inst: Instance) -> FeasibilityResult:
     """EDF feasibility for a deadline instance.
 
-    Runs the pending job with the earliest deadline at every slot from the
-    first release on.  On failure returns an overfull window [u, v]
-    containing more jobs than slots (u a release, v a deadline).
+    Feasible iff earliest deadline first places every job.  On failure
+    returns an overfull window [u, v] containing more jobs than slots
+    (u a release, v a deadline).
     """
     if not inst.has_deadlines:
         raise GapSchedError("check_feasible requires deadlines")
-    if not inst.jobs:
-        return FeasibilityResult(True, Schedule(inst, {}))
-    jobs = inst.by_release()
-    assignment: dict[JobId, int] = {}
-    pending: list[tuple[int, int, JobId]] = []  # (deadline, order, id)
-    i = 0
-    t = jobs[0].release
-    n = len(jobs)
-    while i < n or pending:
-        if not pending and i < n and jobs[i].release > t:
-            t = jobs[i].release
-        while i < n and jobs[i].release <= t:
-            heapq.heappush(pending, (jobs[i].deadline, i, jobs[i].id))
-            i += 1
-        d, _, jid = heapq.heappop(pending)
-        if d < t:
-            return FeasibilityResult(False, witness=_hall_witness(inst))
-        assignment[jid] = t
-        t += 1
+    assignment = _edf(inst)
+    if len(assignment) < len(inst.jobs):
+        return FeasibilityResult(False, witness=_hall_witness(inst))
     return FeasibilityResult(True, Schedule(inst, assignment))
+
+
+def edf_max_throughput(inst: Instance) -> int:
+    """Maximum number of schedulable jobs of a deadline instance."""
+    return len(_edf(inst))
 
 
 def _hall_witness(inst: Instance) -> tuple[int, int]:
     """An interval [u, v] holding more whole job windows than its
-    max(0, v - u + 1) slots; the narrowest such window.
+    max(0, v - u + 1) slots; the narrowest such window, ties to the
+    smallest u.
 
     Searching u over releases and v over deadlines suffices.  An inverted
     window (v < u) qualifies only when it holds a collapsed job window.
+    For each u the jobs are counted in deadline order; the first deadline
+    that qualifies gives the narrowest window starting at u.
     """
-    releases = sorted({j.release for j in inst.jobs})
-    deadlines = sorted({j.deadline for j in inst.jobs})
+    by_deadline = [(v, [j.release for j in group]) for v, group
+                   in groupby(inst.by_deadline(), key=lambda j: j.deadline)]
     best = None
-    for u in releases:
-        for v in deadlines:
-            c = sum(1 for j in inst.jobs if j.release >= u and j.deadline <= v)
-            if c > max(0, v - u + 1):
-                if best is None or (v - u) < (best[1] - best[0]):
+    for u in sorted({j.release for j in inst.jobs}):
+        inside = 0
+        for v, releases in by_deadline:
+            inside += sum(r >= u for r in releases)
+            if inside > max(0, v - u + 1):
+                if best is None or v - u < best[1] - best[0]:
                     best = (u, v)
+                break
     if best is None:
         raise GapSchedError("no Hall witness in a feasible instance")
     return best
@@ -373,26 +399,12 @@ def _hall_witness(inst: Instance) -> tuple[int, int]:
 def edf_schedule_busy_set(inst: Instance, busy: tuple[int, ...]) -> Schedule | None:
     """Match jobs onto a prescribed busy-slot set, earliest deadline first.
 
-    Returns None when no injective window-respecting assignment exists.
-    Standard exchange argument: if any assignment fills the set, this
-    greedy does.
+    Returns None when no injective window-respecting assignment fills the
+    set with every job.  Since earliest deadline first gives a maximum
+    matching, it finds one whenever one exists.
     """
-    jobs = inst.by_release()
-    pending: list[tuple[int, int, JobId]] = []
-    assignment: dict[JobId, int] = {}
-    i = 0
-    for t in sorted(busy):
-        while i < len(jobs) and jobs[i].release <= t:
-            j = jobs[i]
-            heapq.heappush(pending, (j.deadline if j.deadline is not None else t, i, j.id))
-            i += 1
-        if not pending:
-            return None
-        d, _, jid = heapq.heappop(pending)
-        if d < t:
-            return None
-        assignment[jid] = t
-    if i < len(jobs) or pending:
+    assignment = _edf(inst, busy)
+    if not len(assignment) == len(inst.jobs) == len(busy):
         return None
     return Schedule(inst, assignment)
 

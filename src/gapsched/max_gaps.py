@@ -47,15 +47,15 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     varr = np.asarray(vgrid, dtype=np.int64)
     nu, nv = len(ugrid), len(vgrid)
 
-    # levels[k][u][v]; level 0 is the empty sub-instance: one all-idle gap.
-    level0 = np.ones((nu, nv), dtype=np.int32)
-    levels = [level0]
+    # cur[u][v] is the current level k; level 0 is the empty sub-instance:
+    # one all-idle gap.  Only the choices in args are kept for every level.
+    cur = np.ones((nu, nv), dtype=np.int32)
     args = [None]
     prefix_releases: list[int] = []  # releases of jobs with index < k-1, sorted
 
     for k in range(1, n + 1):
         jk = jobs[k - 1]
-        prev = levels[-1]
+        prev = cur
         cur = prev.copy()
         arg = np.full((nu, nv), -1, dtype=np.int16)
         rows = bisect.bisect_right(ugrid, jk.release)          # u <= r_k
@@ -89,12 +89,11 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             block[improved] = cand[improved]
             arg_block = arg[:rows, tcol:]
             arg_block[improved] = t - jk.release
-        levels.append(cur)
         args.append(arg)
         bisect.insort(prefix_releases, jk.release)
 
     top_u, top_v = ui[jobs[0].release], vi[jobs[-1].release]
-    value = int(levels[n][top_u][top_v]) - 2
+    value = int(cur[top_u][top_v]) - 2
 
     assignment: dict = {}
 

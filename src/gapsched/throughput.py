@@ -33,32 +33,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .core import Constraints, Instance, Schedule, certify, require_normalized
+from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
+                   require_normalized)
 from .errors import GapSchedError, InfeasibleError
 
 _NEG = -1  # value vectors hold weights >= 0; any negative means infeasible
-
-
-def edf_max_throughput(inst: Instance) -> int:
-    """Maximum number of schedulable jobs: deadline order, earliest free slot."""
-    nxt: dict[int, int] = {}
-
-    def find(s: int) -> int:
-        path = []
-        while s in nxt:
-            path.append(s)
-            s = nxt[s]
-        for p in path:
-            nxt[p] = s
-        return s
-
-    count = 0
-    for j in sorted(inst.jobs, key=lambda j: (j.deadline, j.release)):
-        s = find(j.release)
-        if s <= j.deadline:
-            nxt[s] = s + 1
-            count += 1
-    return count
 
 
 def _window_map(jobs: list, releases: list[int]) -> list[list[tuple]]:

@@ -27,6 +27,16 @@ def random_windows(rng: random.Random, n: int, horizon: int):
     return out
 
 
+def random_raw_windows(rng: random.Random, n: int, horizon: int):
+    """Windows with repeated releases and deadlines, some collapsed
+    (deadline before release)."""
+    out = []
+    for _ in range(n):
+        r = rng.randrange(horizon)
+        out.append((r, r + rng.randint(-2, 4)))
+    return out
+
+
 def random_feasible_normalized(rng: random.Random, n: int, horizon: int,
                                max_tries: int = 200) -> Instance | None:
     """A feasible instance with distinct releases and deadlines, or None."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gapsched import core
 from gapsched.core import (
     Constraints,
     Instance,
@@ -23,11 +24,38 @@ from gapsched.core import (
 )
 from gapsched.errors import GapSchedError
 
-from helpers import all_window_multisets, make_instance, random_windows
+from helpers import (
+    all_window_multisets,
+    make_instance,
+    random_raw_windows,
+    random_windows,
+    release_instance,
+)
 
 
 def sched(inst, slots_by_id):
     return Schedule(inst, dict(slots_by_id))
+
+
+def hall_witness_scan(inst):
+    """The narrowest window [u, v] holding more whole job windows than its
+    max(0, v - u + 1) slots, ties to the smallest u, by counting the jobs
+    of every (release, deadline) pair; the reference for
+    ``core._hall_witness``."""
+    best = None
+    for u in sorted({j.release for j in inst.jobs}):
+        for v in sorted({j.deadline for j in inst.jobs}):
+            c = sum(1 for j in inst.jobs if j.release >= u and j.deadline <= v)
+            if c > max(0, v - u + 1):
+                if best is None or (v - u) < (best[1] - best[0]):
+                    best = (u, v)
+    return best
+
+
+class TestInstance:
+    def test_by_release_orders_ties_by_deadline(self):
+        inst = make_instance([(-2, 0), (-2, -1)])
+        assert [j.id for j in inst.by_release()] == [1, 0]
 
 
 class TestNormalizeDistinct:
@@ -116,6 +144,22 @@ class TestCheckFeasible:
         # A collapsed job window is its own witness.
         assert check_feasible(make_instance([(3, 1), (0, 4)])).witness == (3, 1)
 
+    def test_witness_matches_full_scan(self):
+        rng = random.Random(17)
+        infeasible = 0
+        for _ in range(600):
+            inst = make_instance(random_raw_windows(rng, rng.randint(1, 9), 6))
+            expect = hall_witness_scan(inst)
+            res = check_feasible(inst)
+            assert res.feasible == (expect is None)
+            if expect is None:
+                with pytest.raises(GapSchedError):
+                    core._hall_witness(inst)
+            else:
+                infeasible += 1
+                assert res.witness == expect
+        assert infeasible > 200
+
     def test_edf_schedule_validates(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -128,26 +172,13 @@ class TestCheckFeasible:
     def test_edf_agrees_with_hall_condition(self):
         """EDF feasibility coincides with the Hall-style counting condition;
         exhaustive on tiny instances, sampled above that."""
-        def hall_feasible(inst):
-            rel = sorted({j.release for j in inst.jobs})
-            dls = sorted({j.deadline for j in inst.jobs})
-            for u in rel:
-                for v in dls:
-                    if v < u:
-                        continue
-                    c = sum(1 for j in inst.jobs
-                            if j.release >= u and j.deadline <= v)
-                    if c > v - u + 1:
-                        return False
-            return True
-
         for windows in all_window_multisets(3, 5):
             inst = make_instance(windows)
-            assert check_feasible(inst).feasible == hall_feasible(inst)
+            assert check_feasible(inst).feasible == (hall_witness_scan(inst) is None)
         rng = random.Random(11)
         for _ in range(400):
             inst = make_instance(random_windows(rng, rng.randint(1, 6), 10))
-            assert check_feasible(inst).feasible == hall_feasible(inst)
+            assert check_feasible(inst).feasible == (hall_witness_scan(inst) is None)
 
 
 class TestGapStats:
@@ -254,6 +285,30 @@ class TestShiftBlockLeft:
             assert validate(out, inst) == []
             if len(blocks) > 1:
                 assert gap_stats(out).gap_count == gap_stats(s).gap_count
+
+
+class TestEdfScheduleBusySet:
+    inst = make_instance([(0, 2), (1, 3), (1, 1)])
+
+    def test_fills_a_matchable_set(self):
+        s = edf_schedule_busy_set(self.inst, (0, 1, 2))
+        assert s.assignment == {0: 0, 2: 1, 1: 2}
+
+    @pytest.mark.parametrize("busy", [
+        (-1, 1, 2),     # a busy slot before any release
+        (0, 1),         # one slot too few
+        (0, 1, 2, 3),   # one slot too many
+        (0, 2, 3),      # the job with window [1, 1] would run late
+        (0, 1, 1),      # a repeated slot cannot take two jobs
+    ])
+    def test_unmatchable_sets(self, busy):
+        assert edf_schedule_busy_set(self.inst, busy) is None
+
+    def test_release_only_jobs_in_release_order(self):
+        inst = release_instance([3, 0, 0, 5])
+        s = edf_schedule_busy_set(inst, (0, 4, 5, 9))
+        assert s.assignment == {1: 0, 2: 4, 0: 5, 3: 9}
+        assert edf_schedule_busy_set(inst, (0, 1, 2, 9)) is None
 
 
 class TestCertify:

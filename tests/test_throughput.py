@@ -19,6 +19,7 @@ from helpers import (
     make_instance,
     planted_normalized,
     random_feasible_normalized,
+    random_raw_windows,
     random_windows,
 )
 from gapsched.core import normalize_distinct
@@ -128,6 +129,13 @@ class TestEdfMaxThroughput:
         rng = random.Random(64)
         for _ in range(60):
             inst = random_normalized(rng, rng.randint(1, 6), 9)
+            expect, _ = oracle_max_throughput(inst, len(inst.jobs))
+            assert edf_max_throughput(inst) == expect
+
+    def test_raw_instances(self):
+        rng = random.Random(65)
+        for _ in range(200):
+            inst = make_instance(random_raw_windows(rng, rng.randint(1, 8), 6))
             expect, _ = oracle_max_throughput(inst, len(inst.jobs))
             assert edf_max_throughput(inst) == expect
 
