@@ -239,6 +239,20 @@ def require_normalized(inst: Instance, feasible: bool = False) -> None:
                                   witness=res.witness)
 
 
+TABLE_CAP = 1 << 30
+
+
+def require_table_fits(what: str, nbytes: int) -> None:
+    """Raise GapSchedError when DP tables of ``nbytes`` bytes, named by
+    ``what``, exceed TABLE_CAP bytes (1 GiB); solvers call it before
+    allocating them.  min_gaps checks its three tables and max_gaps its
+    choice levels.
+    """
+    if nbytes > TABLE_CAP:
+        raise GapSchedError(f"{what} would take {nbytes} bytes, above the "
+                            f"cap of {TABLE_CAP} bytes")
+
+
 START = "__start__"
 END = "__end__"
 

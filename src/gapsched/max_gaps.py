@@ -26,6 +26,7 @@ from .core import (
     certify,
     gap_stats,
     require_normalized,
+    require_table_fits,
 )
 from .errors import GapSchedError
 
@@ -37,21 +38,31 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
         return 0, Schedule(inst, {})
     jobs = augment(inst)
     n = len(jobs)
-    releases = [j.release for j in jobs]
     span = 3 * n
 
     ugrid = sorted({r for j in jobs for r in (j.release - 1, j.release)})
     vgrid = sorted({j.release + c for j in jobs for c in range(-1, span + 2)})
     ui = {u: i for i, u in enumerate(ugrid)}
     vi = {v: i for i, v in enumerate(vgrid)}
-    varr = np.asarray(vgrid, dtype=np.int64)
     nu, nv = len(ugrid), len(vgrid)
+    require_table_fits("max_gaps choice levels", (n + 1) * nu * nv * 2)
 
     # cur[u][v] is the current level k; level 0 is the empty sub-instance:
     # one all-idle gap.  Only the choices in args are kept for every level.
+    # prefixes[i] holds the sorted releases of the first i jobs.  After job
+    # k runs at t, the right sub-window starts at the first release of the
+    # jobs before k past t, or at the row of the slot just before it.
     cur = np.ones((nu, nv), dtype=np.int32)
     args = [None]
-    prefix_releases: list[int] = []  # releases of jobs with index < k-1, sorted
+    prefixes: list[list[int]] = [[]]
+
+    def next_release(k: int, t: int) -> int | None:
+        rels = prefixes[k - 1]
+        p = bisect.bisect_right(rels, t)
+        return rels[p] if p < len(rels) else None
+
+    def right_row(t: int, nxt: int) -> int:
+        return ui[nxt] if nxt == t + 1 else ui[nxt - 1]
 
     for k in range(1, n + 1):
         jk = jobs[k - 1]
@@ -64,7 +75,7 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
 
         first_col = bisect.bisect_left(vgrid, jk.release)      # v >= r_k
         cur[:rows, first_col:] = -1
-        prefix_set = set(prefix_releases)
+        prefix_set = set(prefixes[k - 1])
         for t in range(jk.release, tmax + 1):
             if t in prefix_set:
                 continue  # another job must run at its release here
@@ -74,15 +85,13 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             # right factor over v >= t
             right = np.empty(nv - tcol, dtype=np.int32)
             right[0] = 0  # v == t: empty right window
-            p = bisect.bisect_right(prefix_releases, t)
-            nxt = prefix_releases[p] if p < len(prefix_releases) else None
+            nxt = next_release(k, t)
             if nxt is None:
                 right[1:] = 1  # idle tail is a single gap
             else:
                 split = vi[nxt] - tcol if nxt <= vgrid[-1] else nv - tcol
                 right[1:split] = 1
-                row = ui[nxt] if nxt == t + 1 else ui[nxt - 1]
-                right[split:] = prev[row, tcol + split:]
+                right[split:] = prev[right_row(t, nxt), tcol + split:]
             cand = left[:, None] + right[None, :]
             block = cur[:rows, tcol:]
             improved = cand > block
@@ -90,33 +99,31 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             arg_block = arg[:rows, tcol:]
             arg_block[improved] = t - jk.release
         args.append(arg)
-        bisect.insort(prefix_releases, jk.release)
+        prefixes.append(sorted(prefixes[k - 1] + [jk.release]))
 
     top_u, top_v = ui[jobs[0].release], vi[jobs[-1].release]
     value = int(cur[top_u][top_v]) - 2
 
+    # Rebuild from the choices: each placed job leaves a left window, taken
+    # next, and possibly a right one, taken first (pushed last).
     assignment: dict = {}
+    stack = [(n, top_u, top_v)]
+    while stack:
+        k, u, v = stack.pop()
+        if k == 0:
+            continue
+        jk = jobs[k - 1]
+        if not (ugrid[u] <= jk.release <= vgrid[v]):
+            stack.append((k - 1, u, v))
+            continue
+        t = jk.release + int(args[k][u][v])
+        assignment[jk.id] = t
+        if t - 1 >= ugrid[u]:
+            stack.append((k - 1, u, vi[t - 1]))
+        nxt = next_release(k, t)
+        if nxt is not None and nxt <= vgrid[v] and t < vgrid[v]:
+            stack.append((k - 1, right_row(t, nxt), v))
 
-    def rebuild(k: int, u: int, v: int):
-        while k > 0:
-            jk = jobs[k - 1]
-            if not (ugrid[u] <= jk.release <= vgrid[v]):
-                k -= 1
-                continue
-            t = jk.release + int(args[k][u][v])
-            assignment[jk.id] = t
-            rels = sorted(jobs[i].release for i in range(k - 1))
-            p = bisect.bisect_right(rels, t)
-            nxt = rels[p] if p < len(rels) else None
-            if nxt is not None and nxt <= vgrid[v] and t < vgrid[v]:
-                row = ui[nxt] if nxt == t + 1 else ui[nxt - 1]
-                rebuild(k - 1, row, v)
-            if t - 1 >= ugrid[u]:
-                k, v = k - 1, vi[t - 1]
-                continue
-            return
-
-    rebuild(n, top_u, top_v)
     sched = Schedule(inst, {j: t for j, t in assignment.items()
                             if j not in (START, END)})
     certify(sched, inst, Constraints(require_all=True), value, "gap_count")

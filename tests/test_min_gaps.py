@@ -1,16 +1,28 @@
-"""Minimum-gap solver: spec examples, full table audit, oracle equivalence."""
+"""Minimum-gap solver: spec examples, full table audit, oracle equivalence,
+the candidate-pair fill against a per-row reference, and the table guard."""
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from gapsched.core import Constraints, gap_stats, normalize_distinct, validate
+import gapsched.core
+from gapsched.core import (
+    Constraints,
+    augment,
+    gap_stats,
+    normalize_distinct,
+    require_normalized,
+    validate,
+)
 from gapsched.errors import GapSchedError, InfeasibleError
+from gapsched.max_gaps import max_gaps
 from gapsched.min_gaps import min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
-from helpers import make_instance, random_feasible_normalized
+from helpers import make_instance, planted_normalized, random_feasible_normalized
 
 
 def normalized(windows):
@@ -152,3 +164,146 @@ class TestOracleEquivalence:
             assert value == expect, inst
             assert validate(sched, inst, Constraints(require_all=True)) == []
             assert gap_stats(sched).gap_count == value
+
+
+def min_gaps_tables_reference(inst):
+    """The fill one (k, a) row at a time over every pair (c, b), in int64:
+    (gaps, stretch, choice) as min_gaps_tables must give them."""
+    require_normalized(inst, feasible=True)
+    jobs = augment(inst)
+    n = len(jobs)
+    inf = np.int64(2**31)
+
+    by_release = sorted(range(n), key=lambda j: jobs[j].release)
+    job_rank = [0] * n
+    for p, j in enumerate(by_release):
+        job_rank[j] = p
+    rank_release = np.array([jobs[j].release for j in by_release], dtype=np.int64)
+    rank_dlidx = np.array(by_release, dtype=np.int64)
+
+    gaps = np.zeros((n + 1, n, n), dtype=np.int64)
+    stretch = np.zeros((n + 1, n, n), dtype=np.int64)
+    choice = np.full((n + 1, n, n), -1, dtype=np.int64)
+    stretch[0] = rank_release[:, None]
+
+    ranks = np.arange(n)
+    tri_less = ranks[:, None] < ranks[None, :]   # [c, b]: c left of b
+    edge = rank_release - 1                      # last usable slot before b
+
+    for k in range(1, n + 1):
+        gaps[k] = gaps[k - 1]
+        stretch[k] = stretch[k - 1]
+        jk = jobs[k - 1]
+        pk = job_rank[k - 1]
+        g_prev = gaps[k - 1]
+        s_prev = stretch[k - 1]
+        cand_base = (ranks > pk) & (rank_dlidx <= k - 2)
+        for a in range(pk):
+            row_s = s_prev[a]
+            row_g = g_prev[a]
+
+            cand = cand_base & (row_s >= rank_release - 2)
+            vals = np.where(cand[:, None] & tri_less,
+                            row_g[:, None] + g_prev, inf)
+            top_g = vals.min(axis=0)
+            s_cand = np.where(vals == top_g[None, :], s_prev, -inf)
+            top_s = s_cand.max(axis=0)
+            top_c = (s_cand == top_s[None, :]).argmax(axis=0)
+
+            new_gap = row_s + 1 < jk.release
+            bot_g = row_g + new_gap
+            bot_s = np.where(new_gap,
+                             np.minimum(jk.deadline, edge),
+                             np.minimum(row_s + 1, edge))
+
+            use_top = (top_g < bot_g) | ((top_g == bot_g) & (top_s > bot_s))
+            sel = ranks > pk
+            gaps[k][a][sel] = np.where(use_top, top_g, bot_g)[sel]
+            stretch[k][a][sel] = np.where(use_top, top_s, bot_s)[sel]
+            choice[k][a][sel] = np.where(use_top, top_c, -1)[sel]
+
+    return gaps, stretch, choice
+
+
+def assert_tables_match_reference(inst):
+    tables = min_gaps_tables(inst)
+    for name, ref in zip(("gaps", "stretch", "choice"),
+                         min_gaps_tables_reference(inst)):
+        got = getattr(tables, name).astype(np.int64)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref), (name, inst)
+
+
+class TestCandidatePairFill:
+    """The candidate-pair fill gives the tables of the full per-row scan
+    cell for cell; equal choices mean equal witnesses."""
+
+    def test_random_small_instances(self):
+        rng = random.Random(6007)
+        done = 0
+        while done < 200:
+            inst = random_feasible_normalized(rng, rng.randint(1, 14),
+                                              rng.randint(3, 30))
+            if inst is None:
+                continue
+            done += 1
+            assert_tables_match_reference(inst)
+
+    @pytest.mark.parametrize("reach", [3, 8, 40, 200])
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_planted_instances(self, n, reach):
+        inst = planted_normalized(random.Random(f"{n}/{reach}"), n,
+                                  round(1.3 * n), reach)
+        assert_tables_match_reference(inst)
+
+    def test_narrow_dtypes(self):
+        inst = planted_normalized(random.Random(3), 12, 16, 4)
+        tables = min_gaps_tables(inst)
+        assert tables.gaps.dtype == np.int16
+        assert tables.stretch.dtype == np.int32
+        assert tables.choice.dtype == np.int16
+
+
+class TestTableGuard:
+    @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
+    def test_cap_refuses_before_allocating(self, solver, monkeypatch):
+        inst = planted_normalized(random.Random(5), 10, 13, 3)
+        n = len(inst.jobs) + 2                       # sentinels included
+        smallest_table = (n + 1) * n * n * 8         # min_gaps; max_gaps is larger
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapSchedError, match="above the cap of 1000 bytes"):
+                solver(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < smallest_table // 2
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        inst = planted_normalized(random.Random(5), 10, 13, 3)
+        n = len(inst.jobs) + 2
+        nbytes = (n + 1) * n * n * 8
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", nbytes)
+        value, _ = min_gaps(inst)
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", nbytes - 1)
+        with pytest.raises(GapSchedError, match=f"take {nbytes} bytes"):
+            min_gaps(inst)
+        monkeypatch.undo()
+        assert min_gaps(inst)[0] == value
+
+    # Sentinels sit 2 below the first release and 2 past the last deadline.
+    @pytest.mark.parametrize("base", [2**31, 2**31 - 5, -2**31 + 1])
+    def test_coordinates_beyond_int32_refused(self, base):
+        inst = make_instance([(base, base + 1), (base + 1, base + 3)])
+        with pytest.raises(GapSchedError, match="2\\*\\*31"):
+            min_gaps(inst)
+
+    @pytest.mark.parametrize("base", [2**31 - 6, -2**31 + 3])
+    def test_coordinates_at_the_int32_edge(self, base):
+        windows = [(0, 1), (1, 3)]
+        _, near = min_gaps(make_instance(windows))
+        value, sched = min_gaps(make_instance([(r + base, d + base)
+                                               for r, d in windows]))
+        assert value == 0
+        assert {j: t - base for j, t in sched.assignment.items()} == near.assignment
