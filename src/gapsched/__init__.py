@@ -17,9 +17,7 @@ from .core import (
     certify,
     check_feasible,
     gap_stats,
-    instance,
     normalize_distinct,
-    shift_block_left,
     validate,
 )
 from .errors import GapSchedError, InfeasibleError, OracleCapError
@@ -35,9 +33,7 @@ __all__ = [
     "certify",
     "check_feasible",
     "gap_stats",
-    "instance",
     "normalize_distinct",
-    "shift_block_left",
     "validate",
     "GapSchedError",
     "InfeasibleError",

@@ -69,25 +69,6 @@ class Instance:
         return len(set(ds)) == len(ds)
 
 
-def instance(jobs_spec) -> Instance:
-    """Build an Instance from (release, deadline) pairs or Job objects.
-
-    Convenience for tests and generators; ids default to list position.
-    """
-    jobs = []
-    for i, spec in enumerate(jobs_spec):
-        if isinstance(spec, Job):
-            jobs.append(spec)
-        elif isinstance(spec, tuple):
-            if len(spec) == 2:
-                jobs.append(Job(i, spec[0], spec[1]))
-            else:
-                jobs.append(Job(i, spec[0], spec[1], spec[2]))
-        else:
-            jobs.append(Job(i, spec))
-    return Instance(tuple(jobs))
-
-
 @dataclass(frozen=True)
 class GapStats:
     gap_count: int
@@ -125,7 +106,8 @@ class Schedule:
 
 
 def gap_stats(schedule: Schedule) -> GapStats:
-    """Gap/flow statistics of a non-empty schedule."""
+    """Gap/flow statistics of a non-empty schedule; flows cover the
+    scheduled jobs of its instance."""
     if not schedule.assignment:
         raise GapSchedError("gap_stats of an empty schedule")
     busy = schedule.busy_slots()
@@ -139,7 +121,7 @@ def gap_stats(schedule: Schedule) -> GapStats:
         max_idle=max_idle,
         max_separation=max_sep,
         total_flow=sum(flows),
-        max_flow=max(flows),
+        max_flow=max(flows, default=0),
     )
 
 
@@ -148,10 +130,7 @@ class Constraints:
     """Optional side constraints checked by validate()."""
 
     max_gaps: int | None = None
-    max_total_flow: int | None = None
-    max_job_flow: int | None = None
     min_throughput: int | None = None
-    max_separation: int | None = None
     require_all: bool = False
     weighted: bool = False
 
@@ -177,22 +156,17 @@ def validate(schedule: Schedule, inst: Instance,
     c = constraints
     if c is None:
         return v
-    if c.require_all and len(schedule.assignment) < len(inst.jobs):
+    if c.require_all:
         missing = set(jobs_by_id) - set(schedule.assignment)
-        v.append(f"jobs not scheduled: {sorted(missing, key=str)}")
-    if schedule.assignment:
-        stats = gap_stats(schedule)
-        if c.max_gaps is not None and stats.gap_count > c.max_gaps:
-            v.append(f"gap count {stats.gap_count} exceeds budget {c.max_gaps}")
-        if c.max_total_flow is not None and stats.total_flow > c.max_total_flow:
-            v.append(f"total flow {stats.total_flow} exceeds bound {c.max_total_flow}")
-        if c.max_job_flow is not None and stats.max_flow > c.max_job_flow:
-            v.append(f"max flow {stats.max_flow} exceeds bound {c.max_job_flow}")
-        if c.max_separation is not None and stats.max_separation > c.max_separation:
-            v.append(f"max separation {stats.max_separation} exceeds {c.max_separation}")
+        if missing:
+            v.append(f"jobs not scheduled: {sorted(missing, key=str)}")
+    if c.max_gaps is not None:
+        count = len(schedule.gaps())
+        if count > c.max_gaps:
+            v.append(f"gap count {count} exceeds budget {c.max_gaps}")
     if c.min_throughput is not None:
-        got = (sum(jobs_by_id[j].weight for j in schedule.assignment)
-               if c.weighted else len(schedule.assignment))
+        got = sum(jobs_by_id[j].weight if c.weighted else 1
+                  for j in schedule.assignment if j in jobs_by_id)
         if got < c.min_throughput:
             v.append(f"throughput {got} below floor {c.min_throughput}")
     return v
@@ -421,37 +395,3 @@ def edf_schedule_busy_set(inst: Instance, busy: tuple[int, ...]) -> Schedule | N
     if not len(assignment) == len(inst.jobs) == len(busy):
         return None
     return Schedule(inst, assignment)
-
-
-def shift_block_left(schedule: Schedule, block: tuple[int, int]) -> Schedule:
-    """Shift one block a single slot to the left.
-
-    Re-permutes jobs inside the block along the chain i_1, i_2, ... where
-    i_1 sits at the block's last slot and each subsequent job sits at the
-    previous one's release time.  Requires distinct release times and that
-    the job at the block's last slot is not at its own release.
-    """
-    inst = schedule.instance
-    if not inst.releases_distinct():
-        raise GapSchedError("shift_block_left requires distinct release times")
-    u, v = block
-    busy = set(schedule.busy_slots())
-    if not all(t in busy for t in range(u, v + 1)):
-        raise GapSchedError(f"[{u}, {v}] is not fully busy")
-    if u - 1 in busy or v + 1 in busy:
-        raise GapSchedError(f"[{u}, {v}] is not a maximal block")
-    slot_to_job = {t: jid for jid, t in schedule.assignment.items()}
-    rel = {j.id: j.release for j in inst.jobs}
-
-    chain = [slot_to_job[v]]
-    while rel[chain[-1]] >= u:
-        nxt = slot_to_job[rel[chain[-1]]]
-        if nxt == chain[-1]:
-            raise GapSchedError(
-                f"job {chain[-1]!r} is scheduled at its release; block cannot shift")
-        chain.append(nxt)
-    new_assignment = dict(schedule.assignment)
-    for jid in chain[:-1]:
-        new_assignment[jid] = rel[jid]
-    new_assignment[chain[-1]] = u - 1
-    return Schedule(inst, new_assignment)

@@ -48,8 +48,8 @@ class HittingSet:
 
 
 def _by_deadline(intervals) -> list[Interval]:
-    order = {id(iv): i for i, iv in enumerate(intervals)}
-    return sorted(intervals, key=lambda iv: (iv.end, iv.start, order[id(iv)]))
+    # sorted is stable, so full ties keep their input order.
+    return sorted(intervals, key=lambda iv: (iv.end, iv.start))
 
 
 def greedy_min_hitting(intervals) -> HittingSet:
@@ -67,18 +67,13 @@ def greedy_min_hitting(intervals) -> HittingSet:
     return HittingSet(reps)
 
 
-def delta_table(intervals) -> list[list[int]]:
-    """newly_hit[a][b] = count of intervals hit by d_b but not by d_a.
+def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
+    """table[a][b] = weight of the intervals hit by d_b but not by d_a.
 
     That is, intervals i with d_a < r_i <= d_b <= d_i, for deadline-sorted
-    input.  One O(n) sweep per row; release events are applied before
+    ``ivs``.  One O(n) sweep per row; release events are applied before
     deadline events at equal coordinates so both inclusions stay sharp.
     """
-    ivs = _by_deadline(intervals)
-    return _delta_table(ivs, [1] * len(ivs))
-
-
-def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
     n = len(ivs)
     coords = sorted({iv.start for iv in ivs} | {iv.end for iv in ivs})
     rel_at = {}
@@ -124,7 +119,7 @@ def _hit_table(ivs: list[Interval], weights: list[int], budget: int):
                 if cand > best[b][g]:
                     best[b][g] = cand
                     prev[b][g] = (a, g - 1)
-    return delta, hits, best, prev
+    return best, prev
 
 
 def _hit_witness(ivs, best, prev, b, g) -> HittingSet:
@@ -159,7 +154,7 @@ def max_hit_budget(intervals, budget: int, weighted: bool = False):
         return 0, HittingSet({})
     weights = [iv.weight if weighted else 1 for iv in ivs]
     g = min(budget, n)
-    _, _, best, prev = _hit_table(ivs, weights, g)
+    best, prev = _hit_table(ivs, weights, g)
     value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
     return value, _hit_witness(ivs, best, prev, arg, g)
 
@@ -173,7 +168,7 @@ def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
     weights = [iv.weight if weighted else 1 for iv in ivs]
     if m > sum(weights):
         raise InfeasibleError(f"requirement {m} exceeds total {sum(weights)}")
-    _, _, best, prev = _hit_table(ivs, weights, n)
+    best, prev = _hit_table(ivs, weights, n)
     for g in range(1, n + 1):
         value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
         if value >= m:

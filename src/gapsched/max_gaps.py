@@ -3,9 +3,10 @@
 Windowed DP: best[k][u][v] is the most gaps (extremal ones included) a
 schedule of the first k jobs released inside [u, v] can show in that
 window.  Job k must run at some t in [r_k, min(v, d_k, r_k + 3n)]; every
-schedule can be rewritten (see lemma2_normalize) so that no job travels
-further than 3n past its release, which also pins the useful window
-starts to releases and their predecessors.  The right sub-window is
+schedule can be rewritten, without losing a gap, so that no job travels
+further than 3n past its release (the rewrite is executed and checked in
+tests/test_max_gaps.py, TestLemma2Normalize), which also pins the useful
+window starts to releases and their predecessors.  The right sub-window is
 remapped to start just before the next release, collapsing the u-axis to
 O(n) values and the total work to O(n^5).
 """
@@ -24,11 +25,9 @@ from .core import (
     Schedule,
     augment,
     certify,
-    gap_stats,
     require_normalized,
     require_table_fits,
 )
-from .errors import GapSchedError
 
 
 def max_gaps(inst: Instance) -> tuple[int, Schedule]:
@@ -128,69 +127,3 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
                             if j not in (START, END)})
     certify(sched, inst, Constraints(require_all=True), value, "gap_count")
     return value, sched
-
-
-def lemma2_normalize(schedule: Schedule) -> Schedule:
-    """Rewrite a schedule so every job has only short gaps behind it.
-
-    Two rules, iterated to a fixpoint, never decreasing the gap count:
-    (i) a job with an idle run of length >= 3 between its release and its
-    slot moves into that run; (ii) a block preceded by an idle run of
-    length >= 2 whose first late job exists sends that job to the slot
-    just before the block.  Each rewrite makes the busy-slot set
-    lexicographically smaller, so the process terminates.
-    """
-    inst = schedule.instance
-    if not inst.releases_distinct():
-        raise GapSchedError("lemma2_normalize requires distinct releases")
-    rel = {j.id: j.release for j in inst.jobs}
-    assignment = dict(schedule.assignment)
-    for _ in range(10_000):
-        cur = Schedule(inst, dict(assignment))
-        before = gap_stats(cur).gap_count if assignment else 0
-        move = _rule_move_into_long_gap(cur, rel) or _rule_close_up_block(cur, rel)
-        if move is None:
-            return cur
-        jid, slot = move
-        if slot >= assignment[jid]:
-            raise GapSchedError(f"rewrite moved job {jid!r} right, to {slot}")
-        assignment[jid] = slot
-        after = gap_stats(Schedule(inst, dict(assignment))).gap_count
-        if after < before:
-            raise GapSchedError("rewrite decreased the gap count")
-    raise GapSchedError("rewrite loop failed to reach a fixpoint")
-
-
-def _rule_move_into_long_gap(schedule: Schedule, rel) -> tuple | None:
-    # Idle runs are clipped to [release, slot); runs ahead of the first busy
-    # slot count as well.
-    busy = set(schedule.busy_slots())
-    for jid, slot in sorted(schedule.assignment.items(), key=lambda kv: kv[1]):
-        run_start = None
-        for x in range(rel[jid], slot):
-            if x in busy:
-                run_start = None
-                continue
-            if run_start is None:
-                run_start = x
-            if x - run_start + 1 >= 3:
-                return jid, run_start + 1
-    return None
-
-
-def _rule_close_up_block(schedule: Schedule, rel) -> tuple | None:
-    blocks = schedule.blocks()
-    slot_to_job = {t: j for j, t in schedule.assignment.items()}
-    for prev_blk, blk in zip(blocks, blocks[1:]):
-        if blk[0] - prev_blk[1] - 1 < 2:
-            continue
-        for t in range(blk[0], blk[1] + 1):
-            jid = slot_to_job[t]
-            if rel[jid] < t:
-                # distinct releases put the first late job's release below
-                # the block start
-                if rel[jid] > blk[0] - 1:
-                    raise GapSchedError(
-                        f"job {jid!r} released inside its block at {rel[jid]}")
-                return jid, blk[0] - 1
-    return None

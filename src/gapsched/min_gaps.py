@@ -60,15 +60,10 @@ class MinGapsTables:
 
     jobs: list[Job]              # deadline-sorted, sentinels included
     rank_release: np.ndarray     # release of the p-th smallest release
-    rank_job: list[int]          # deadline index of that job
     job_rank: list[int]          # release rank of deadline index j
     gaps: np.ndarray             # (N+1, N, N); gaps[k][a][b]
     stretch: np.ndarray          # (N+1, N, N)
     choice: np.ndarray           # (N+1, N, N); split rank, or -1 for "k last"
-
-    def window_jobs(self, k: int, a: int, b: int) -> list[Job]:
-        lo, hi = self.rank_release[a], self.rank_release[b]
-        return [j for j in self.jobs[:k] if lo < j.release < hi]
 
     def reconstruct_busy(self, k: int, a: int, b: int) -> tuple[int, ...]:
         """Busy slots of a schedule realizing gaps[k][a][b] that ends exactly
@@ -123,7 +118,6 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     require_table_fits("min_gaps tables", (n + 1) * n * n * _CELL_BYTES)
 
     by_release = sorted(range(n), key=lambda j: jobs[j].release)
-    rank_job = by_release
     job_rank = [0] * n
     for p, j in enumerate(by_release):
         job_rank[j] = p
@@ -192,8 +186,7 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
         stretch[k, :pk, right] = out_s
         choice[k, :pk, right] = out_c
 
-    return MinGapsTables(jobs, rank_release, rank_job, job_rank,
-                         gaps, stretch, choice)
+    return MinGapsTables(jobs, rank_release, job_rank, gaps, stretch, choice)
 
 
 def min_gaps(inst: Instance) -> tuple[int, Schedule]:

@@ -6,12 +6,12 @@ below walks them explicitly and is used to cross-check the DP itself on
 tiny inputs.  Witness schedules are rebuilt by a deterministic greedy
 walk over the tables (busy slots as early as possible, jobs by deadline).
 
-Sizes are capped; set GAPSCHED_ORACLE_CAP="jobs,slots" to override.
+Sizes are capped: at most DEFAULT_JOB_CAP jobs over a horizon of at most
+DEFAULT_SLOT_CAP slots, beyond which OracleCapError is raised.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
@@ -25,22 +25,11 @@ DEFAULT_JOB_CAP = 8
 DEFAULT_SLOT_CAP = 16
 
 
-def _caps() -> tuple[int, int]:
-    raw = os.environ.get("GAPSCHED_ORACLE_CAP")
-    if not raw:
-        return DEFAULT_JOB_CAP, DEFAULT_SLOT_CAP
-    parts = [int(p) for p in raw.split(",")]
-    if len(parts) == 1:
-        return parts[0], 2 * parts[0]
-    return parts[0], parts[1]
-
-
 def _check_caps(n_jobs: int, span: int):
-    job_cap, slot_cap = _caps()
-    if n_jobs > job_cap:
-        raise OracleCapError(f"{n_jobs} jobs exceed oracle cap {job_cap}")
-    if span > slot_cap:
-        raise OracleCapError(f"horizon {span} exceeds oracle cap {slot_cap}")
+    if n_jobs > DEFAULT_JOB_CAP:
+        raise OracleCapError(f"{n_jobs} jobs exceed oracle cap {DEFAULT_JOB_CAP}")
+    if span > DEFAULT_SLOT_CAP:
+        raise OracleCapError(f"horizon {span} exceeds oracle cap {DEFAULT_SLOT_CAP}")
 
 
 # ---------------------------------------------------------------------------

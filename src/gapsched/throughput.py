@@ -191,9 +191,11 @@ def max_throughput(inst: Instance, gaps: int,
     require_normalized(inst)
     if not inst.jobs:
         return 0, Schedule(inst, {})
-    solver = _Solver(inst, weighted, gaps + 2)
-    value = solver.values()[gaps + 2]
-    sched = Schedule(inst, solver.witness(gaps + 2))
+    # n jobs leave at most n - 1 interior gaps, so larger budgets add nothing.
+    counted = min(gaps, len(inst.jobs) - 1) + 2
+    solver = _Solver(inst, weighted, counted)
+    value = solver.values()[counted]
+    sched = Schedule(inst, solver.witness(counted))
     certify(sched, inst, Constraints(max_gaps=gaps), value,
             "weight" if weighted else "count")
     return value, sched

@@ -11,21 +11,12 @@ from __future__ import annotations
 from .errors import GapSchedError
 
 
-def rank_of(xs, ys, value) -> tuple[int, int]:
-    """(number of sums <= value, number of sums < value).
-
-    O(|X| + |Y|); both inputs must be sorted ascending.
-    """
-    le = _count_at_most(xs, ys, value, strict=False)
-    lt = _count_at_most(xs, ys, value, strict=True)
-    return le, lt
-
-
-def _count_at_most(xs, ys, value, strict: bool) -> int:
+def _count_at_most(xs, ys, value) -> int:
+    """Number of sums <= value, by a staircase walk; O(|X| + |Y|)."""
     count = 0
     j = len(ys) - 1
     for x in xs:
-        while j >= 0 and ((x + ys[j] >= value) if strict else (x + ys[j] > value)):
+        while j >= 0 and x + ys[j] > value:
             j -= 1
         if j < 0:
             break
@@ -42,7 +33,7 @@ def select_kth(xs, ys, k: int) -> int:
     hi = xs[-1] + ys[-1]
     while lo < hi:
         mid = (lo + hi) // 2
-        if _count_at_most(xs, ys, mid, strict=False) >= k:
+        if _count_at_most(xs, ys, mid) >= k:
             hi = mid
         else:
             lo = mid + 1

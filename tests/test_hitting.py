@@ -10,7 +10,8 @@ from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.hitting import (
     HittingSet,
     Interval,
-    delta_table,
+    _by_deadline,
+    _delta_table,
     greedy_min_hitting,
     max_hit_budget,
     min_hit_with_throughput,
@@ -62,6 +63,8 @@ class TestGreedyMinHitting:
         hs = greedy_min_hitting(ivs([(0, 2), (1, 3), (5, 6)]))
         assert hs.distinct_points() == [2, 6]
         assert hs.cardinality == 2
+        # A one-pass iterable is read once, not exhausted before the sweep.
+        assert greedy_min_hitting(iter(ivs([(0, 2), (1, 3), (5, 6)]))) == hs
 
     def test_single_interval(self):
         hs = greedy_min_hitting(ivs([(0, 5)]))
@@ -80,6 +83,11 @@ class TestGreedyMinHitting:
             for iv in intervals:
                 assert iv.start <= hs.representatives[iv.id] <= iv.end
             assert hs.cardinality == brute_min_hitting_size(intervals)
+
+
+def delta_table(intervals):
+    """Unit-weight newly-hit counts over the deadline-sorted intervals."""
+    return _delta_table(_by_deadline(intervals), [1] * len(intervals))
 
 
 class TestDeltaTable:

@@ -1,4 +1,10 @@
-"""Maximum-gap solver and the schedule rewrite rules behind its windowing."""
+"""Maximum-gap solver and the schedule rewrite rules behind its windowing.
+
+The solver only tries slots up to 3n past a job's release.  The rewrite
+below (lemma2_normalize and its two rules) is the lemma that makes this
+safe, run on concrete schedules: it never loses a gap and leaves no job
+with an idle run of three slots or more behind it.
+"""
 
 import random
 
@@ -13,7 +19,8 @@ from gapsched.core import (
     normalize_distinct,
     validate,
 )
-from gapsched.max_gaps import lemma2_normalize, max_gaps
+from gapsched.errors import GapSchedError
+from gapsched.max_gaps import max_gaps
 from gapsched.oracle import oracle_max_gaps
 
 from helpers import make_instance, random_feasible_normalized
@@ -68,6 +75,74 @@ class TestOracleEquivalence:
                 continue
             done += 1
             assert max_gaps(inst)[0] == oracle_max_gaps(inst)[0]
+
+
+def lemma2_normalize(schedule: Schedule) -> Schedule:
+    """Rewrite a schedule so every job has only short gaps behind it: the
+    lemma that no job needs to run more than 3n slots past its release,
+    executed.
+
+    Two rules, iterated to a fixpoint, never decreasing the gap count:
+    (i) a job with an idle run of length >= 3 between its release and its
+    slot moves into that run; (ii) a block preceded by an idle run of
+    length >= 2 whose first late job exists sends that job to the slot
+    just before the block.  Each rewrite makes the busy-slot set
+    lexicographically smaller, so the process terminates.
+    """
+    inst = schedule.instance
+    if not inst.releases_distinct():
+        raise GapSchedError("lemma2_normalize requires distinct releases")
+    rel = {j.id: j.release for j in inst.jobs}
+    assignment = dict(schedule.assignment)
+    for _ in range(10_000):
+        cur = Schedule(inst, dict(assignment))
+        before = gap_stats(cur).gap_count if assignment else 0
+        move = _rule_move_into_long_gap(cur, rel) or _rule_close_up_block(cur, rel)
+        if move is None:
+            return cur
+        jid, slot = move
+        if slot >= assignment[jid]:
+            raise GapSchedError(f"rewrite moved job {jid!r} right, to {slot}")
+        assignment[jid] = slot
+        after = gap_stats(Schedule(inst, dict(assignment))).gap_count
+        if after < before:
+            raise GapSchedError("rewrite decreased the gap count")
+    raise GapSchedError("rewrite loop failed to reach a fixpoint")
+
+
+def _rule_move_into_long_gap(schedule: Schedule, rel) -> tuple | None:
+    # Idle runs are clipped to [release, slot); runs ahead of the first busy
+    # slot count as well.
+    busy = set(schedule.busy_slots())
+    for jid, slot in sorted(schedule.assignment.items(), key=lambda kv: kv[1]):
+        run_start = None
+        for x in range(rel[jid], slot):
+            if x in busy:
+                run_start = None
+                continue
+            if run_start is None:
+                run_start = x
+            if x - run_start + 1 >= 3:
+                return jid, run_start + 1
+    return None
+
+
+def _rule_close_up_block(schedule: Schedule, rel) -> tuple | None:
+    blocks = schedule.blocks()
+    slot_to_job = {t: j for j, t in schedule.assignment.items()}
+    for prev_blk, blk in zip(blocks, blocks[1:]):
+        if blk[0] - prev_blk[1] - 1 < 2:
+            continue
+        for t in range(blk[0], blk[1] + 1):
+            jid = slot_to_job[t]
+            if rel[jid] < t:
+                # distinct releases put the first late job's release below
+                # the block start
+                if rel[jid] > blk[0] - 1:
+                    raise GapSchedError(
+                        f"job {jid!r} released inside its block at {rel[jid]}")
+                return jid, blk[0] - 1
+    return None
 
 
 class TestLemma2Normalize:

@@ -25,6 +25,13 @@ from gapsched.oracle import oracle_min_gaps
 from helpers import make_instance, planted_normalized, random_feasible_normalized
 
 
+def window_jobs(tables, k, a, b):
+    """Jobs of sub-instance J(k, a, b): among the first k by deadline,
+    released strictly between the a-th and b-th release."""
+    lo, hi = tables.rank_release[a], tables.rank_release[b]
+    return [j for j in tables.jobs[:k] if lo < j.release < hi]
+
+
 def normalized(windows):
     res = normalize_distinct(make_instance(windows))
     assert not res.removed
@@ -104,7 +111,7 @@ class TestTables:
                         rb = int(tables.rank_release[b])
                         if ra >= rb:
                             continue
-                        sub = tables.window_jobs(k, a, b)
+                        sub = window_jobs(tables, k, a, b)
                         ref = cell_reference(sub, ra + 1, rb - 1)
                         got_g = int(tables.gaps[k][a][b])
                         got_s = int(tables.stretch[k][a][b])
@@ -133,7 +140,7 @@ class TestTables:
                         rb = int(tables.rank_release[b])
                         if ra >= rb:
                             continue
-                        sub = tables.window_jobs(k, a, b)
+                        sub = window_jobs(tables, k, a, b)
                         busy = tables.reconstruct_busy(k, a, b)
                         assert len(busy) == len(sub)
                         if not sub:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gapsched import oracle
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
 from gapsched.errors import InfeasibleError, OracleCapError
 from gapsched.oracle import (
@@ -246,8 +247,9 @@ class TestCaps:
         with pytest.raises(OracleCapError):
             oracle_solve(inst, "min_gaps")
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GAPSCHED_ORACLE_CAP", "10,40")
+    def test_patched_caps(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_JOB_CAP", 10)
+        monkeypatch.setattr(oracle, "DEFAULT_SLOT_CAP", 40)
         inst = make_instance([(0, 30)])
         v, _ = oracle_solve(inst, "min_gaps")
         assert v == 0

@@ -116,6 +116,25 @@ class TestMaxThroughput:
                 got = sum(inst.job(j).weight for j in sched.assignment)
                 assert got == value
 
+    def test_budget_past_n_minus_1_solves_at_n_minus_1(self, monkeypatch):
+        # n jobs leave at most n - 1 interior gaps: a larger budget gives the
+        # same answer from a DP sized to counted budget n + 1.
+        inst = tight_chain(5)
+        n = len(inst.jobs)
+
+        class Capped(throughput._Solver):
+            def __post_init__(self):
+                # Fail here rather than fill a DP sized to the huge budget.
+                assert self.budget <= n + 1, self.budget
+                super().__post_init__()
+
+        monkeypatch.setattr(throughput, "_Solver", Capped)
+        for weighted in (False, True):
+            value, sched = max_throughput(inst, n - 1, weighted)
+            assert value == n
+            got, witness = max_throughput(inst, 10**6, weighted)
+            assert (got, witness.assignment) == (value, sched.assignment)
+
     def test_monotone_in_budget(self):
         rng = random.Random(63)
         for _ in range(30):

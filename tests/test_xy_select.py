@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gapsched.errors import GapSchedError
-from gapsched.xy_select import rank_of, select_kth
+from gapsched.xy_select import _count_at_most, select_kth
 
 
 def all_sums(xs, ys):
@@ -31,8 +31,9 @@ def test_out_of_range():
 
 
 def test_rank_example():
-    assert rank_of([0, 1], [0, 1], 1) == (3, 1)
-    assert rank_of([0, 1], [0, 1], -5) == (0, 0)
+    assert _count_at_most([0, 1], [0, 1], 1) == 3
+    assert _count_at_most([0, 1], [0, 1], 0) == 1
+    assert _count_at_most([0, 1], [0, 1], -5) == 0
 
 
 def test_matches_sorted_pairwise_oracle_random():
@@ -54,9 +55,9 @@ def test_select_rank_duality(xs, ys, data):
     xs, ys = sorted(xs), sorted(ys)
     k = data.draw(st.integers(1, len(xs) * len(ys)))
     v = select_kth(xs, ys, k)
-    le, lt = rank_of(xs, ys, v)
-    # v is the least value whose at-most count reaches k
-    assert le >= k > lt
+    # v is the least value whose at-most count reaches k; on integers,
+    # count(< v) is count(<= v - 1).
+    assert _count_at_most(xs, ys, v) >= k > _count_at_most(xs, ys, v - 1)
 
 
 @given(
@@ -67,7 +68,5 @@ def test_select_rank_duality(xs, ys, data):
 def test_rank_matches_enumeration(xs, ys, v):
     xs, ys = sorted(xs), sorted(ys)
     sums = all_sums(xs, ys)
-    assert rank_of(xs, ys, v) == (
-        sum(1 for s in sums if s <= v),
-        sum(1 for s in sums if s < v),
-    )
+    assert _count_at_most(xs, ys, v) == sum(1 for s in sums if s <= v)
+    assert _count_at_most(xs, ys, v - 1) == sum(1 for s in sums if s < v)
