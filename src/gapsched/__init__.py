@@ -1,9 +1,11 @@
 """Exact solvers for gap-aware scheduling of unit jobs.
 
 Deadline problems (minimum/maximum gap counts, gap sizes, throughput
-under gap budgets) and release-only flow/gap tradeoffs, together with
-their continuous interval-hitting analogues in exact rational
-arithmetic, plus exhaustive reference solvers for verification.
+under gap budgets), together with their continuous interval-hitting
+analogues in exact rational arithmetic, plus exhaustive reference
+solvers for verification.  The release-only flow/gap tradeoffs are
+covered by the exhaustive oracle only; their polynomial solvers are
+deferred.
 """
 
 from .core import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import GapSchedError, InfeasibleError
@@ -84,12 +84,9 @@ class Schedule:
 
     instance: Instance
     assignment: dict[JobId, int]
-    _busy: tuple[int, ...] = field(default=None, repr=False)
 
     def busy_slots(self) -> tuple[int, ...]:
-        if self._busy is None:
-            object.__setattr__(self, "_busy", tuple(sorted(self.assignment.values())))
-        return self._busy
+        return tuple(sorted(self.assignment.values()))
 
     def blocks(self) -> list[tuple[int, int]]:
         out = []

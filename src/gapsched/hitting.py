@@ -9,6 +9,7 @@ consecutive representatives in sorted order.  No floating point anywhere.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,85 +213,32 @@ def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
     return True, HittingSet(reps)
 
 
-def _zero_gap_solution(intervals) -> HittingSet | None:
-    if not intervals:
-        return HittingSet({})
-    d1 = min(iv.end for iv in intervals)
-    if max(iv.start for iv in intervals) <= d1:
-        return HittingSet({iv.id: Fraction(d1) for iv in intervals})
-    return None
-
-
 def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
-    """Minimize the maximum gap of a hitting set (staged candidate search).
+    """Minimize the maximum gap of a hitting set.
 
-    The optimum lies in {(r_i - d_j)/k}.  The search first brackets the
-    optimum between consecutive scaled differences v/(n-1), then pins the
-    divisor k0 for v, which leaves at most one candidate divisor per
-    difference; an ordinary binary search over those finishes the job.
+    The optimum is 0 or (r_i - d_j)/k for some 1 <= k <= n-1.  Any two
+    distinct fractions u/k with 1 <= k <= n-1 lie at least 1/(n-1)^2
+    apart, so once bisection has shrunk the optimum's bracket (lo, hi] to
+    that width, the optimum is the smallest such fraction above lo.
     """
     if not intervals:
         raise GapSchedError("need at least one interval")
-    zero = _zero_gap_solution(intervals)
-    if zero is not None:
-        return Fraction(0), zero
-    n = len(intervals)
-    diffs = sorted({iv2.start - iv1.end
-                    for iv1 in intervals for iv2 in intervals
-                    if iv2.start > iv1.end})
-    # n >= 2 here: some release exceeds some deadline.
-    lam0 = Fraction(diffs[0], n - 1)
-    ok, wit = viable(intervals, lam0)
+    ok, wit = viable(intervals, 0)
     if ok:
-        return lam0, wit
-
-    # Largest v whose v/(n-1) is still not viable; its successor w (if any)
-    # scales to the smallest viable bottom-row candidate.
-    lo, hi = 0, len(diffs) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if not viable(intervals, Fraction(diffs[mid], n - 1))[0]:
-            lo = mid
-        else:
-            hi = mid - 1
-    v = diffs[lo]
-    w = diffs[lo + 1] if lo + 1 < len(diffs) else None
-
-    if not viable(intervals, v)[0]:
-        # Every candidate u/k with u <= v sits at or below v, hence fails too.
-        return _viable_witness(intervals, Fraction(w, n - 1))
-
-    # Largest divisor keeping v viable; the optimum is in (v/(k0+1), v/k0].
-    klo, khi = 1, n - 1
-    while klo < khi:
-        kmid = (klo + khi + 1) // 2
-        if viable(intervals, Fraction(v, kmid))[0]:
-            klo = kmid
-        else:
-            khi = kmid - 1
-    k0 = klo
-
-    cands = set()
-    lower = Fraction(v, k0 + 1)
-    for u in diffs:
-        if u > v:
-            break
-        if Fraction(u) <= lower:
-            continue
-        ku = -((-k0 * u) // v)  # ceil(k0*u/v); sole divisor putting u/k in range
-        if 1 <= ku <= n - 1:
-            cands.add(Fraction(u, ku))
-    if w is not None:
-        cands.add(Fraction(w, n - 1))
-    cands = sorted(cands)
-    lo, hi = 0, len(cands) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if viable(intervals, cands[mid])[0]:
+        return Fraction(0), wit
+    # n >= 2 here.  At hi every interval is released once the first point,
+    # the earliest deadline, is placed, so hi is viable.
+    n = len(intervals)
+    lo = Fraction(0)
+    hi = Fraction(max(iv.start for iv in intervals) - min(iv.end for iv in intervals))
+    while (hi - lo) * (n - 1) ** 2 > 1:
+        mid = (lo + hi) / 2
+        if viable(intervals, mid)[0]:
             hi = mid
         else:
-            lo = mid + 1
-    return _viable_witness(intervals, cands[lo])
+            lo = mid
+    return _viable_witness(
+        intervals, min(Fraction(math.floor(lo * k) + 1, k) for k in range(1, n)))
 
 
 def _viable_witness(intervals, lam) -> tuple[Fraction, HittingSet]:
@@ -302,7 +250,11 @@ def _viable_witness(intervals, lam) -> tuple[Fraction, HittingSet]:
 
 def min_points_flow_bound(releases, bound) -> HittingSet:
     """Minimum-cardinality point set covering every release within
-    [r, r + bound]; single left-to-right pass."""
+    [r, r + bound]; single left-to-right pass.
+
+    Representatives are keyed by rank in sorted release order, not by
+    input position: key i covers the i-th smallest release.
+    """
     if bound < 0:
         raise GapSchedError(f"flow bound must be non-negative, got {bound}")
     rs = sorted(releases)
@@ -317,7 +269,11 @@ def min_points_flow_bound(releases, bound) -> HittingSet:
 
 def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
     """Minimum coverage radius for at most ``budget`` points on the directed
-    line (binary search by rank in the implicit difference set)."""
+    line (binary search by rank in the implicit difference set).
+
+    As in ``min_points_flow_bound``, representatives are keyed by rank in
+    sorted release order, not by input position.
+    """
     if budget <= 0:
         raise GapSchedError(f"point budget must be positive, got {budget}")
     rs = sorted(releases)

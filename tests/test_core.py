@@ -216,6 +216,20 @@ class TestGapStats:
             blocks = sched(inst, dict(enumerate(slots))).blocks()
             assert stats.gap_count == len(blocks) - 1
 
+    def test_reading_busy_slots_keeps_equality(self):
+        inst = make_instance([(0, 2), (0, 2)])
+        s1, s2 = sched(inst, {0: 0, 1: 2}), sched(inst, {0: 0, 1: 2})
+        assert s1.busy_slots() == (0, 2)
+        assert s1 == s2
+
+    def test_gaps_follow_a_changed_assignment(self):
+        inst = make_instance([(0, 2), (0, 2)])
+        s = sched(inst, {0: 0, 1: 2})
+        assert s.gaps() == [(1, 1)]
+        s.assignment[1] = 1
+        assert s.busy_slots() == (0, 1)
+        assert s.gaps() == []
+
 
 class TestValidate:
     def test_clean(self):

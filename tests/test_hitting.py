@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gapsched import hitting
 from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.hitting import (
     HittingSet,
@@ -21,6 +22,8 @@ from gapsched.hitting import (
     viable,
 )
 
+from helpers import planted_normalized
+
 
 def ivs(pairs, weights=None):
     ws = weights or [1] * len(pairs)
@@ -33,6 +36,20 @@ def random_intervals(rng, n, span):
         a = rng.randrange(span)
         b = rng.randrange(a, span)
         out.append((a, b))
+    return ivs(out)
+
+
+def random_shared_intervals(rng, n):
+    """n intervals over a few coordinates: endpoints repeat, some
+    intervals are points and some are copies of another."""
+    span = rng.choice([3, 5, 8, 12])
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.2:
+            out.append(rng.choice(out))
+            continue
+        a = rng.randrange(span)
+        out.append((a, a) if rng.random() < 0.25 else (a, rng.randrange(a, span)))
     return ivs(out)
 
 
@@ -256,7 +273,7 @@ def _candidate_gap_values(intervals) -> list[Fraction]:
 def min_max_gap_cont_reference(intervals):
     """Minimize the maximum gap by binary search over the explicit
     candidate list, zero included.  Cubic-size candidate set; the
-    reference path for the staged search in min_max_gap_cont."""
+    reference for the bisection and lattice snap in min_max_gap_cont."""
     cands = [Fraction(0)] + _candidate_gap_values(intervals)
     lo, hi = 0, len(cands) - 1
     while lo < hi:
@@ -280,23 +297,45 @@ class TestMinMaxGapCont:
             assert hs.max_gap() == lam
 
     def test_common_point_gives_zero(self):
+        # Every point sits at the earliest deadline.
         lam, hs = min_max_gap_cont(ivs([(0, 9), (3, 5), (1, 7)]))
         assert lam == 0
-        assert hs.max_gap() == 0
+        assert hs.representatives == {0: 5, 1: 5, 2: 5}
 
     def test_single_interval(self):
-        lam, _ = min_max_gap_cont(ivs([(2, 8)]))
+        lam, hs = min_max_gap_cont(ivs([(2, 8)]))
         assert lam == 0
+        assert hs.representatives == {0: 8}
 
     def test_matches_reference_path(self):
         rng = random.Random(91)
-        for _ in range(120):
-            intervals = random_intervals(rng, rng.randint(1, 6), 12)
+        for trial in range(300):
+            if trial % 2:
+                intervals = random_shared_intervals(rng, rng.randint(1, 9))
+            else:
+                intervals = random_intervals(rng, rng.randint(1, 9), 12)
             lam_fast, hs_fast = min_max_gap_cont(intervals)
             lam_ref, hs_ref = min_max_gap_cont_reference(intervals)
             assert lam_fast == lam_ref
+            assert hs_fast == hs_ref
             assert hs_fast.max_gap() <= lam_fast
-            assert hs_ref.max_gap() <= lam_ref
+
+    def test_probes_bounded_by_bisection_depth(self, monkeypatch):
+        # One zero probe, one halving per bit of H * (n-1)^2, one witness.
+        jobs = planted_normalized(random.Random(94), 2000, 2600, 6).jobs
+        intervals = [Interval(j.id, j.release, j.deadline) for j in jobs]
+        span = max(j.release for j in jobs) - min(j.deadline for j in jobs)
+        probes = []
+        real = hitting.viable
+
+        def spy(intervals, lam):
+            probes.append(lam)
+            return real(intervals, lam)
+
+        monkeypatch.setattr(hitting, "viable", spy)
+        lam, hs = min_max_gap_cont(intervals)
+        assert 0 < lam and hs.max_gap() <= lam
+        assert len(probes) <= 2 + (span * 1999 ** 2 - 1).bit_length()
 
     def test_matches_brute_force_grid(self):
         rng = random.Random(92)
@@ -369,6 +408,13 @@ class TestMinMaxFlowCont:
     def test_budget_zero_rejected(self):
         with pytest.raises(GapSchedError):
             min_max_flow_cont([0, 1], 0)
+
+    def test_unsorted_releases_keyed_by_rank(self):
+        # Key i is the i-th smallest release, not the i-th input.
+        f, hs = min_max_flow_cont([9, 0, 5], 2)
+        assert f == 4
+        assert hs.representatives == {0: 4, 1: 9, 2: 9}
+        assert min_points_flow_bound([9, 0, 5], 4) == hs
 
     def test_matches_exhaustive_subset_search(self):
         rng = random.Random(111)
