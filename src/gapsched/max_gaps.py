@@ -9,6 +9,13 @@ tests/test_max_gaps.py, TestLemma2Normalize), which also pins the useful
 window starts to releases and their predecessors.  The right sub-window is
 remapped to start just before the next release, collapsing the u-axis to
 O(n) values and the total work to O(n^5).
+
+The v-axis holds only the window ends the recursion reads: for each job j,
+sentinels included, the slots [r_j - 1, min(d_j, r_j + 3n)].  Placing job
+k at slot t fills the cells at ends v >= t from level k - 1 at ends t - 1
+and v alone, and t - 1 and t lie in job k's range.  So these ends are
+closed under the fill's reads, and they hold END's slot, where the top
+query ends: no other end is ever read.
 """
 
 from __future__ import annotations
@@ -30,6 +37,13 @@ from .core import (
 )
 
 
+def _window_ends(jobs: list, span: int) -> list[int]:
+    """The window ends the fill reads, sorted: the slot before each job's
+    release and every slot it may take, [r_j - 1, min(d_j, r_j + span)]."""
+    return sorted({v for j in jobs
+                   for v in range(j.release - 1, min(j.deadline, j.release + span) + 1)})
+
+
 def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     """Maximum interior gap count over full schedules, with witness."""
     require_normalized(inst, feasible=True)
@@ -40,7 +54,7 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     span = 3 * n
 
     ugrid = sorted({r for j in jobs for r in (j.release - 1, j.release)})
-    vgrid = sorted({j.release + c for j in jobs for c in range(-1, span + 2)})
+    vgrid = _window_ends(jobs, span)
     ui = {u: i for i, u in enumerate(ugrid)}
     vi = {v: i for i, v in enumerate(vgrid)}
     nu, nv = len(ugrid), len(vgrid)
@@ -88,7 +102,7 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             if nxt is None:
                 right[1:] = 1  # idle tail is a single gap
             else:
-                split = vi[nxt] - tcol if nxt <= vgrid[-1] else nv - tcol
+                split = vi[nxt] - tcol
                 right[1:split] = 1
                 right[split:] = prev[right_row(t, nxt), tcol + split:]
             cand = left[:, None] + right[None, :]

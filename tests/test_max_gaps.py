@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import gapsched.max_gaps as max_gaps_module
 from gapsched.core import (
     Constraints,
     Instance,
@@ -23,7 +24,7 @@ from gapsched.errors import GapSchedError
 from gapsched.max_gaps import max_gaps
 from gapsched.oracle import oracle_max_gaps
 
-from helpers import make_instance, random_feasible_normalized
+from helpers import make_instance, planted_normalized, random_feasible_normalized
 
 
 def normalized(windows):
@@ -75,6 +76,46 @@ class TestOracleEquivalence:
                 continue
             done += 1
             assert max_gaps(inst)[0] == oracle_max_gaps(inst)[0]
+
+
+def every_end_to_3n_past_release(jobs, span):
+    """The v-axis as it was before it held only the ends the fill reads:
+    every r_j + c with -1 <= c <= span + 1."""
+    return sorted({j.release + c for j in jobs for c in range(-1, span + 2)})
+
+
+class TestWindowEnds:
+    def test_same_answer_as_every_end_to_3n(self, monkeypatch):
+        rng = random.Random(43)
+        instances = []
+        while len(instances) < 320:
+            n = rng.randint(1, 30)
+            kind = len(instances) % 3
+            if kind == 0:
+                inst = random_feasible_normalized(rng, n, 2 * n + 2)
+            elif kind == 1:    # dense: n jobs on about 1.3n slots
+                inst = planted_normalized(rng, n, n + n // 3 + 1, rng.randint(1, n))
+            else:              # sparse: horizon 6n-12n, short windows
+                inst = planted_normalized(rng, n, rng.randint(6 * n, 12 * n),
+                                          rng.randint(1, 3))
+            if inst is not None:
+                instances.append(inst)
+        expected = [max_gaps(inst) for inst in instances]
+        monkeypatch.setattr(max_gaps_module, "_window_ends",
+                            every_end_to_3n_past_release)
+        for inst, (value, sched) in zip(instances, expected):
+            old_value, old_sched = max_gaps(inst)
+            assert value == old_value, inst
+            assert sched.assignment == old_sched.assignment, inst
+
+    def test_far_apart_short_windows_fit_the_cap(self):
+        # At 3n + 3 window ends per release these choice levels were
+        # above the default cap.
+        inst = Instance(tuple(Job(i, 2000 * i, 2000 * i + 2) for i in range(200)))
+        value, sched = max_gaps(inst)
+        assert value == 199
+        assert validate(sched, inst, Constraints(require_all=True)) == []
+        assert gap_stats(sched).gap_count == value
 
 
 def lemma2_normalize(schedule: Schedule) -> Schedule:

@@ -276,7 +276,8 @@ class TestTableGuard:
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
         inst = planted_normalized(random.Random(5), 10, 13, 3)
         n = len(inst.jobs) + 2                       # sentinels included
-        smallest_table = (n + 1) * n * n * 8         # min_gaps; max_gaps is larger
+        # min_gaps' tables, 14 976 B; max_gaps' choice levels take 8 840 B
+        smallest_table = (n + 1) * n * n * 8
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
         tracemalloc.start()
         try:
