@@ -49,8 +49,13 @@ class HittingSet:
 
 
 def _by_deadline(intervals) -> list[Interval]:
-    # sorted is stable, so full ties keep their input order.
-    return sorted(intervals, key=lambda iv: (iv.end, iv.start))
+    """Intervals by end, then start; sorted is stable, so full ties keep
+    their input order.  Representatives are keyed by id, so ids must be
+    distinct."""
+    ivs = sorted(intervals, key=lambda iv: (iv.end, iv.start))
+    if len({iv.id for iv in ivs}) < len(ivs):
+        raise GapSchedError("interval ids must be distinct")
+    return ivs
 
 
 def greedy_min_hitting(intervals) -> HittingSet:

@@ -10,23 +10,23 @@ artificial tight jobs below and above the instance anchor both ends, and
 their two boundary gaps are subtracted at the end.
 
 Level k is filled in one pass over all its rows a < p_k (p_k the release
-rank of job k) and columns b > p_k.  The "k last" branch is plain array
-arithmetic over that block.  A split at rank c can only win when job c
-comes before job k and the stretch of (a, c) reaches r_c - 2, so the
-candidate pairs (a, c) are gathered first and the split values are built
-for those pairs only, against every column b.  Level k thus costs its
-number of pairs times n, at most n^3, and the whole fill stays within
-O(n^4).  Ties go to the fewest gaps, then the latest stretch, then the
-smallest c, and "k last" is kept unless a split is strictly better.  The
-pairs are taken in chunks of at most 4n^2 split values, so the temporary
-arrays beside the tables stay a few levels' size however many pairs a level
-has.
+rank of job k) and columns b > p_k.  Candidates are ranked by one int64
+key from ``_order_key``: the gap count in the top bits, then the stretch
+reversed, then the split rank c plus one, so the smallest key has the
+fewest gaps, then the latest stretch, then the smallest c; "k last" takes
+c = -1 and wins every full tie.  A split at rank c is usable when job c
+comes before job k and the stretch of (a, c) reaches r_c - 2.  The gaps of
+(a, c) shifted into the top bits plus the key of (c, b) is the key of the
+split, so the split branch is a (min,+) product over the ordered key,
+restricted to the split ranks some row can use and taken in blocks of at
+most 4n^2 values.  Level k costs at most n^3, the fill O(n^4).
 
 The tables keep every level: ``gaps`` int16, ``stretch`` int32 and
 ``choice`` int16, 8 bytes a cell.  Their size is checked against
-``core.require_table_fits`` before anything is allocated, and every
-coordinate, sentinel jobs included, must lie strictly inside +-2**31,
-the values that stand for "no candidate" in the tie-breaking.
+``core.require_table_fits`` before anything is allocated.  Every
+coordinate, sentinel jobs included, must lie strictly inside +-2**31 (the
+key's stretch field), and there may be at most 2047 jobs, sentinels
+included (its split-rank field).
 """
 
 from __future__ import annotations
@@ -50,8 +50,20 @@ from .core import (
 )
 from .errors import GapSchedError
 
-_INF = np.int64(2**31)
 _CELL_BYTES = 2 + 4 + 2     # one cell each of gaps, stretch and choice
+_GAP_SHIFT = 43             # key bits: gaps 43.., stretch 11..42, c + 1 0..10
+_STRETCH_SHIFT = 11
+_STRETCH_TOP = 2**31 - 1    # the stretch field holds _STRETCH_TOP - stretch
+_STRETCH_MASK = 2**32 - 1
+_CHOICE_MASK = 2**11 - 1
+_MAX_JOBS = _CHOICE_MASK    # split ranks c < n must fit c + 1 in 11 bits
+_FAR = np.int64(2**61)      # an unusable split; two of them sum to 2**62
+
+
+def _order_key(g, s, c):
+    """Key ranking candidates by fewest gaps g, then latest stretch s, then
+    smallest split rank c; "k last" passes c = -1."""
+    return (g << _GAP_SHIFT) | ((_STRETCH_TOP - s) << _STRETCH_SHIFT) | (c + 1)
 
 
 @dataclass
@@ -112,9 +124,12 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     jobs = augment(inst)
     n = len(jobs)
     lo, hi = jobs[0].release, jobs[-1].release
-    if not (-_INF < lo and hi < _INF):
+    if not (-2**31 < lo and hi < 2**31):
         raise GapSchedError(f"coordinates {lo}..{hi} (sentinels included) "
                             f"do not fit strictly inside +-2**31")
+    if n > _MAX_JOBS:
+        raise GapSchedError(f"{n} jobs (sentinels included), above the "
+                            f"limit of {_MAX_JOBS}")
     require_table_fits("min_gaps tables", (n + 1) * n * n * _CELL_BYTES)
 
     by_release = sorted(range(n), key=lambda j: jobs[j].release)
@@ -147,44 +162,28 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
 
         # Job k last: right after the stretch, or at its release past a gap.
         new_gap = row_s + 1 < jk.release
-        out_g = row_g + new_gap
-        out_s = np.where(new_gap, np.minimum(jk.deadline, edge[right]),
-                         np.minimum(row_s + 1, edge[right]))
-        out_c = np.full(out_g.shape, -1, dtype=np.int64)
+        key = _order_key(row_g + new_gap,
+                         np.where(new_gap, np.minimum(jk.deadline, edge[right]),
+                                  np.minimum(row_s + 1, edge[right])), -1)
 
-        # Job k right before release r_c: only ranks c of jobs before k whose
-        # left part can end at r_c - 2 (stretch of (a, c) >= r_c - 2).
-        cand = (rank_dlidx[right] <= k - 2) & (row_s >= rank_release[right] - 2)
-        pa, pc = np.nonzero(cand)              # pairs come sorted by a, then c
-        # At most 4n^2 split values at a time, so temporaries stay a few
-        # levels' size.  A row cut between chunks is merged twice; its later
-        # part has larger c and wins only if strictly better, as in one pass.
-        step = 4 * n * n // max(n - pk - 1, 1)
-        for i in range(0, len(pa), step):
-            ca, c = pa[i:i + step], pc[i:i + step] + pk + 1
-            vals = np.where(c[:, None] < np.arange(pk + 1, n),
-                            row_g[ca, c - pk - 1][:, None] + g_prev[c, right],
-                            _INF)
-            first = np.r_[True, ca[1:] != ca[:-1]]
-            starts = np.flatnonzero(first)
-            seg = np.cumsum(first) - 1
-            rows = ca[starts]
-            # Fewest gaps, then the latest stretch, then the smallest c.
-            top_g = np.minimum.reduceat(vals, starts, axis=0)
-            s_cand = np.where(vals == top_g[seg], s_prev[c, right], -_INF)
-            top_s = np.maximum.reduceat(s_cand, starts, axis=0)
-            c_cand = np.where(s_cand == top_s[seg], c[:, None], n)
-            top_c = np.minimum.reduceat(c_cand, starts, axis=0)
+        # Job k right before release r_c, for the ranks c some row can use:
+        # min over c of left[a, c] + tail[c, b], a (min,+) product in blocks
+        # of at most 4n^2 values.
+        ok = (rank_dlidx[right] <= k - 2) & (row_s >= rank_release[right] - 2)
+        cs = np.flatnonzero(ok.any(axis=0))
+        c = cs + pk + 1
+        left = np.where(ok[:, cs], row_g[:, cs] << _GAP_SHIFT, _FAR)
+        tail = np.where(c[:, None] < np.arange(pk + 1, n),
+                        _order_key(g_prev[c, right], s_prev[c, right], c[:, None]),
+                        _FAR)
+        step = 4 * n * n // max(key.size, 1)
+        for i in range(0, len(cs), step):
+            blk = slice(i, i + step)
+            key = np.minimum(key, (left[:, blk, None] + tail[None, blk]).min(axis=1))
 
-            bot_g, bot_s, bot_c = out_g[rows], out_s[rows], out_c[rows]
-            use = (top_g < bot_g) | ((top_g == bot_g) & (top_s > bot_s))
-            out_g[rows] = np.where(use, top_g, bot_g)
-            out_s[rows] = np.where(use, top_s, bot_s)
-            out_c[rows] = np.where(use, top_c, bot_c)
-
-        gaps[k, :pk, right] = out_g
-        stretch[k, :pk, right] = out_s
-        choice[k, :pk, right] = out_c
+        gaps[k, :pk, right] = key >> _GAP_SHIFT
+        stretch[k, :pk, right] = _STRETCH_TOP - ((key >> _STRETCH_SHIFT) & _STRETCH_MASK)
+        choice[k, :pk, right] = (key & _CHOICE_MASK) - 1
 
     return MinGapsTables(jobs, rank_release, job_rank, gaps, stretch, choice)
 

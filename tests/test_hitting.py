@@ -75,6 +75,23 @@ def brute_max_hit(intervals, budget, weighted=False):
     return best
 
 
+class TestDistinctIds:
+    """Representatives are keyed by id, so a repeated id would let a
+    witness lose an interval its value counts; every id-keyed solver
+    refuses it."""
+
+    @pytest.mark.parametrize("solve", [
+        greedy_min_hitting,
+        lambda x: max_hit_budget(x, 2),
+        lambda x: min_hit_with_throughput(x, 1),
+        lambda x: viable(x, 1),
+        min_max_gap_cont,
+    ], ids=["greedy", "budget", "throughput", "viable", "min_max_gap"])
+    def test_repeated_id_refused(self, solve):
+        with pytest.raises(GapSchedError, match="distinct"):
+            solve([Interval(0, 0, 0), Interval(0, 5, 5)])
+
+
 class TestGreedyMinHitting:
     def test_example(self):
         hs = greedy_min_hitting(ivs([(0, 2), (1, 3), (5, 6)]))

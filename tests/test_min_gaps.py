@@ -1,5 +1,5 @@
 """Minimum-gap solver: spec examples, full table audit, oracle equivalence,
-the candidate-pair fill against a per-row reference, and the table guard."""
+the (min,+) fill against a per-row reference, and the table guard."""
 
 import itertools
 import random
@@ -18,7 +18,7 @@ from gapsched.core import (
     validate,
 )
 from gapsched.errors import GapSchedError, InfeasibleError
-from gapsched.max_gaps import max_gaps
+from gapsched.max_gaps import _window_ends, max_gaps
 from gapsched.min_gaps import min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
@@ -241,9 +241,30 @@ def assert_tables_match_reference(inst):
         assert np.array_equal(got, ref), (name, inst)
 
 
-class TestCandidatePairFill:
-    """The candidate-pair fill gives the tables of the full per-row scan
-    cell for cell; equal choices mean equal witnesses."""
+def split_free_levels(tables):
+    """Count the levels k with no usable split rank: for every c, job c comes
+    after k or no row a has a stretch of (a, c) at level k - 1 reaching
+    r_c - 2."""
+    n = len(tables.jobs)
+    rank_dlidx = np.argsort([j.release for j in tables.jobs])
+    free = 0
+    for k in range(1, n + 1):
+        pk = tables.job_rank[k - 1]
+        c = np.arange(pk + 1, n)
+        ok = ((rank_dlidx[c] <= k - 2)
+              & (tables.stretch[k - 1][:pk, pk + 1:] >= tables.rank_release[c] - 2))
+        free += not ok.any()
+    return free
+
+
+def planted_family(n, horizon, reach):
+    return planted_normalized(random.Random(f"{n}/{reach}"), n,
+                              round(horizon * n), reach)
+
+
+class TestFillMatchesRowReference:
+    """The (min,+) fill over the ordered key gives the tables of the full
+    per-row scan cell for cell; equal choices mean equal witnesses."""
 
     def test_random_small_instances(self):
         rng = random.Random(6007)
@@ -256,12 +277,17 @@ class TestCandidatePairFill:
             done += 1
             assert_tables_match_reference(inst)
 
-    @pytest.mark.parametrize("reach", [3, 8, 40, 200])
+    @pytest.mark.parametrize("horizon, reach",
+                             [(1.3, 3), (1.3, 8), (1.3, 40), (1.3, 200), (20, 3)])
     @pytest.mark.parametrize("n", [30, 60])
-    def test_planted_instances(self, n, reach):
-        inst = planted_normalized(random.Random(f"{n}/{reach}"), n,
-                                  round(1.3 * n), reach)
-        assert_tables_match_reference(inst)
+    def test_planted_instances(self, n, horizon, reach):
+        assert_tables_match_reference(planted_family(n, horizon, reach))
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_wide_horizon_has_split_free_levels(self, n):
+        # The wide family above reaches the fill's empty split branch.
+        tables = min_gaps_tables(planted_family(n, 20, 3))
+        assert split_free_levels(tables) >= n // 2
 
     def test_narrow_dtypes(self):
         inst = planted_normalized(random.Random(3), 12, 16, 4)
@@ -271,27 +297,62 @@ class TestCandidatePairFill:
         assert tables.choice.dtype == np.int16
 
 
+def min_gaps_table_bytes(inst):
+    n = len(inst.jobs) + 2                       # sentinels included
+    return (n + 1) * n * n * 8
+
+
+def max_gaps_table_bytes(inst):
+    jobs = augment(inst)
+    n = len(jobs)
+    nu = len({r for j in jobs for r in (j.release - 1, j.release)})
+    nv = len(_window_ends(jobs, 3 * n))
+    return (n + 1) * nu * nv * 2
+
+
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        inst = planted_normalized(random.Random(5), 10, 13, 3)
-        n = len(inst.jobs) + 2                       # sentinels included
-        # min_gaps' tables, 14 976 B; max_gaps' choice levels take 8 840 B
-        smallest_table = (n + 1) * n * n * 8
+        # min_gaps' tables take 89 056 B, max_gaps' choice levels 46 920 B;
+        # validating the input alone peaks near 5 000 B.
+        inst = planted_normalized(random.Random(5), 20, 26, 3)
+        table_bytes = {min_gaps: min_gaps_table_bytes,
+                       max_gaps: max_gaps_table_bytes}[solver](inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
         tracemalloc.start()
         try:
-            with pytest.raises(GapSchedError, match="above the cap of 1000 bytes"):
+            with pytest.raises(GapSchedError) as exc:
                 solver(inst)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < smallest_table // 2
+        assert f"take {table_bytes} bytes, above the cap of 1000" in str(exc.value)
+        assert peak < table_bytes // 4, peak
+
+    def test_job_count_refused_before_allocating(self, monkeypatch):
+        # The split-rank field of the fill's key holds 11 bits, so at most
+        # 2047 jobs, sentinels included, whatever the table cap.
+        inst = make_instance([(i, i) for i in range(2046)])
+        n = len(inst.jobs) + 2
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1 << 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapSchedError, match="2048 jobs"):
+                min_gaps_tables(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n                      # under one byte a cell of a level
+
+    def test_job_count_limit_is_inclusive(self):
+        # 2047 jobs pass the count check and meet the table cap instead.
+        inst = make_instance([(i, i) for i in range(2045)])
+        with pytest.raises(GapSchedError, match="above the cap"):
+            min_gaps_tables(inst)
 
     def test_cap_is_inclusive(self, monkeypatch):
         inst = planted_normalized(random.Random(5), 10, 13, 3)
-        n = len(inst.jobs) + 2
-        nbytes = (n + 1) * n * n * 8
+        nbytes = min_gaps_table_bytes(inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", nbytes)
         value, _ = min_gaps(inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", nbytes - 1)
