@@ -216,8 +216,8 @@ TABLE_CAP = 1 << 30
 def require_table_fits(what: str, nbytes: int) -> None:
     """Raise GapSchedError when DP tables of ``nbytes`` bytes, named by
     ``what``, exceed TABLE_CAP bytes (1 GiB); solvers call it before
-    allocating them.  min_gaps checks its three tables and max_gaps its
-    choice levels.
+    allocating them.  min_gaps checks its three tables, max_gaps its
+    choice levels and the throughput DP its slots, windows and values.
     """
     if nbytes > TABLE_CAP:
         raise GapSchedError(f"{what} would take {nbytes} bytes, above the "

@@ -15,7 +15,10 @@ sentinels included, the slots [r_j - 1, min(d_j, r_j + 3n)].  Placing job
 k at slot t fills the cells at ends v >= t from level k - 1 at ends t - 1
 and v alone, and t - 1 and t lie in job k's range.  So these ends are
 closed under the fill's reads, and they hold END's slot, where the top
-query ends: no other end is ever read.
+query ends: no other end is ever read.  Level k fills only the ends up to
+the first one past d_k and copies that column to the later ends: no job
+of the first k can run past d_k, so every later end holds the same value
+and the same choice.
 """
 
 from __future__ import annotations
@@ -87,7 +90,9 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
         ucol = np.asarray(ugrid[:rows], dtype=np.int64)
 
         first_col = bisect.bisect_left(vgrid, jk.release)      # v >= r_k
-        cur[:rows, first_col:] = -1
+        last_col = bisect.bisect_left(vgrid, jk.deadline + 1)  # v > d_k
+        end = min(last_col + 1, nv)
+        cur[:rows, first_col:end] = -1
         prefix_set = set(prefixes[k - 1])
         for t in range(jk.release, tmax + 1):
             if t in prefix_set:
@@ -95,8 +100,8 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             tcol = vi[t]
             # left factor over u: window [u, t-1]
             left = np.where(ucol <= t - 1, prev[:rows, vi[t - 1]], 0)
-            # right factor over v >= t
-            right = np.empty(nv - tcol, dtype=np.int32)
+            # right factor over t <= v <= last_col
+            right = np.empty(end - tcol, dtype=np.int32)
             right[0] = 0  # v == t: empty right window
             nxt = next_release(k, t)
             if nxt is None:
@@ -104,13 +109,15 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             else:
                 split = vi[nxt] - tcol
                 right[1:split] = 1
-                right[split:] = prev[right_row(t, nxt), tcol + split:]
+                right[split:] = prev[right_row(t, nxt), tcol + split:end]
             cand = left[:, None] + right[None, :]
-            block = cur[:rows, tcol:]
+            block = cur[:rows, tcol:end]
             improved = cand > block
             block[improved] = cand[improved]
-            arg_block = arg[:rows, tcol:]
+            arg_block = arg[:rows, tcol:end]
             arg_block[improved] = t - jk.release
+        cur[:rows, end:] = cur[:rows, last_col:end]
+        arg[:rows, end:] = arg[:rows, last_col:end]
         args.append(arg)
         prefixes.append(sorted(prefixes[k - 1] + [jk.release]))
 

@@ -79,30 +79,51 @@ class MinGapsTables:
 
     def reconstruct_busy(self, k: int, a: int, b: int) -> tuple[int, ...]:
         """Busy slots of a schedule realizing gaps[k][a][b] that ends exactly
-        at stretch[k][a][b]."""
-        if k == 0:
-            return ()
-        jk = self.jobs[k - 1]
-        pk = self.job_rank[k - 1]
-        if not (a < pk < b):
-            return self.reconstruct_busy(k - 1, a, b)
-        rb_edge = int(self.rank_release[b]) - 1
-        c = int(self.choice[k][a][b])
-        if c < 0:
-            prev = self.reconstruct_busy(k - 1, a, b)
-            s_prev = int(self.stretch[k - 1][a][b])
-            if s_prev + 1 < jk.release:
-                return prev + (min(jk.deadline, rb_edge),)
-            if s_prev < rb_edge:
-                return prev + (s_prev + 1,)
-            return _shift_last_block(prev) + (rb_edge,)
-        rc = int(self.rank_release[c])
-        left = self.reconstruct_busy(k - 1, a, c)
-        if left and left[-1] == rc - 1:
-            left = _shift_last_block(left)
-        if left and left[-1] != rc - 2:
-            raise GapSchedError(f"left part ends at {left[-1]}, not {rc - 2}")
-        return left + (rc - 1, rc) + self.reconstruct_busy(k - 1, c, b)
+        at stretch[k][a][b].
+
+        A cell's slots are built from its sub-cells' slots once those are
+        done, so the walk keeps an explicit stack of cells to open and to
+        close, and a stack of finished slot tuples.
+        """
+        done: list[tuple[int, ...]] = []
+        todo = [(False, k, a, b)]
+        while todo:
+            close, k, a, b = todo.pop()
+            if not close:
+                while k > 0 and not (a < self.job_rank[k - 1] < b):
+                    k -= 1  # job k lies outside the window
+                if k == 0:
+                    done.append(())
+                    continue
+                c = int(self.choice[k][a][b])
+                todo.append((True, k, a, b))
+                if c < 0:
+                    todo.append((False, k - 1, a, b))
+                else:  # the left part is opened, and so finished, first
+                    todo += [(False, k - 1, c, b), (False, k - 1, a, c)]
+                continue
+            jk = self.jobs[k - 1]
+            rb_edge = int(self.rank_release[b]) - 1
+            c = int(self.choice[k][a][b])
+            if c < 0:
+                prev = done.pop()
+                s_prev = int(self.stretch[k - 1][a][b])
+                if s_prev + 1 < jk.release:
+                    done.append(prev + (min(jk.deadline, rb_edge),))
+                elif s_prev < rb_edge:
+                    done.append(prev + (s_prev + 1,))
+                else:
+                    done.append(_shift_last_block(prev) + (rb_edge,))
+                continue
+            rc = int(self.rank_release[c])
+            right = done.pop()
+            left = done.pop()
+            if left and left[-1] == rc - 1:
+                left = _shift_last_block(left)
+            if left and left[-1] != rc - 2:
+                raise GapSchedError(f"left part ends at {left[-1]}, not {rc - 2}")
+            done.append(left + (rc - 1, rc) + right)
+        return done[0]
 
 
 def _shift_last_block(slots: tuple[int, ...]) -> tuple[int, ...]:

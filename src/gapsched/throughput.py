@@ -9,20 +9,33 @@ budget gamma + 2.
 
 Window keys are canonicalized -- u snaps to (next release) - 1, v to
 (max reachable deadline) + 1, k to the last job actually inside -- which
-keeps the memo at O(n) distinct u's and O(n^2) distinct v's.  The snap is
-a lookup: for each release rank i and prefix k, the releases of the first
-k jobs released at or after the i-th release are kept sorted with running
-maxima of their job indices, so one bisect on v finds the last job inside,
-whose deadline is the latest reachable one.  Candidate slots for the
-newest job are releases plus offsets in [-(n+1), n+1]: every block of a
-(left-shifted) optimal schedule contains a job at its release, and blocks
-hold at most n jobs.
+keeps the cells at O(n) distinct u's and O(n^2) distinct v's.  The last
+job inside [u, v] among the first k is a range maximum of deadline
+indices over the release order, restricted to indices below k; a sparse
+table of O(n log n) entries answers it, rebuilt for each level.
+Candidate slots for the newest job are releases plus offsets in
+[-(n+1), n+1]: every block of a (left-shifted) optimal schedule contains
+a job at its release, and blocks hold at most n jobs.
+
+The DP runs in three passes over int arrays, none of them recursive.
+Discovery walks the levels from k = n down to 1 and collects the
+canonical cells the top query reaches, each level in a few numpy calls:
+every cell's candidate slots, and the canonical form of its children --
+skip (k-1, u, v), and for each slot t left (k-1, u, t-1) and right
+(k-1, t+1, v).  The fill then walks the levels upwards; a level's
+(cell, slot) pairs are gathered in blocks of about 1 MiB and combined by
+max-plus convolution, one whole-array step per h.  An infeasible entry is
+-2**62, so it never combines into a feasible one while the total weight
+stays below 2**62; coordinates must lie strictly inside +-2**62 too.
+Reconstruction walks down from the top cell with an explicit stack and
+re-derives each choice from the values, so no choice is stored: skip
+wins every tie, then the first slot, then the first left budget h.
 
 Budgets are prefix-closed.  A cell's entry at counted budget g combines
-only entries <= g of its sub-cells, ties go to the first slot and split
-in a fixed order, and the base vectors for budget B are prefixes of those
-for any larger budget.  So a solver sized to budget B gives every g <= B
-the same value and the same witness as a larger one.
+only entries <= g of its sub-cells, ties go to skip, then the first slot
+and split in a fixed order, and the base vectors for budget B are
+prefixes of those for any larger budget.  So a solver sized to budget B
+gives every g <= B the same value and the same witness as a larger one.
 ``min_gaps_for_throughput`` relies on this: it solves at a small interior
 budget and doubles it, capped at n - 1, only while the threshold is not
 met, instead of sizing one solve to n - 1 whatever the answer.
@@ -31,34 +44,25 @@ met, instead of sizing one solve to n - 1 whatever the answer.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
-                   require_normalized)
+                   require_normalized, require_table_fits)
 from .errors import GapSchedError, InfeasibleError
 
-_NEG = -1  # value vectors hold weights >= 0; any negative means infeasible
+_LIMIT = 1 << 62          # bound on total weight and on |coordinates|
+_INFEASIBLE = -_LIMIT     # two of them sum to int64's minimum, no lower
+_BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (pairs x budgets) block
+_EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
 
 
-def _window_map(jobs: list, releases: list[int]) -> list[list[tuple]]:
-    """``out[i][k]`` lists the jobs among the first k (by deadline) released
-    at or after ``releases[i]``: their releases in increasing order, and for
-    each prefix of that order the largest job index in it."""
-    out = []
-    for r in releases:
-        rels: list[int] = []
-        last: list[int] = []
-        row = [(rels, last)]
-        for idx, j in enumerate(jobs):
-            if j.release >= r:
-                p = bisect.bisect_left(rels, j.release)
-                # idx exceeds every index already listed, so it is the
-                # prefix maximum from position p on.
-                rels = rels[:p] + [j.release] + rels[p:]
-                last = last[:p] + [idx] * (len(rels) - p)
-            row.append((rels, last))
-        out.append(row)
-    return out
+def _ranges(starts, counts):
+    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
 @dataclass
@@ -68,117 +72,193 @@ class _Solver:
     inst: Instance
     weighted: bool
     budget: int  # counted-gap budget (boundary gaps included)
-    memo: dict = field(default_factory=dict)
-    seen: dict = field(default_factory=dict)  # raw window key -> vector
-    choice: dict = field(default_factory=dict)
 
     def __post_init__(self):
         jobs = self.inst.by_deadline()
         self.jobs = jobs
-        self.n = len(jobs)
-        self.weights = [j.weight if self.weighted else 1 for j in jobs]
-        self.releases = sorted(j.release for j in jobs)
-        self.windows = _window_map(jobs, self.releases)
-        margin = self.n + 1
-        self.slot_cands = sorted({r + s for r in self.releases
-                                  for s in range(-margin, margin + 1)})
-        self.empty_window = tuple([0] * (self.budget + 1))
-        self.empty_jobs = tuple([_NEG] + [0] * self.budget)
-        self.u0 = self.releases[0] - 1
-        self.v0 = max(j.deadline for j in jobs) + 1
+        self.n = n = len(jobs)
+        weights = [j.weight if self.weighted else 1 for j in jobs]
+        if sum(weights) >= _LIMIT:
+            raise GapSchedError(f"total weight {sum(weights)} is not below 2**62")
+        if any(not -_LIMIT < x < _LIMIT for j in jobs for x in (j.release, j.deadline)):
+            raise GapSchedError("coordinates must lie strictly inside +-2**62")
+        self.weights = weights
+        self.release = np.array([j.release for j in jobs], dtype=np.int64)
+        self.deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
+        self.rank_job = np.argsort(self.release)   # deadline index by release rank
+        self.releases = self.release[self.rank_job]
+        self.log2 = np.array([0] + [x.bit_length() - 1 for x in range(1, n + 1)])
+        # Slots within n + 1 of some release: each release's interval, less
+        # the part its predecessor's interval already covers.
+        m = n + 1
+        hi = self.releases + m
+        lo = np.concatenate(([self.releases[0] - m],
+                             np.maximum(self.releases[1:] - m, hi[:-1] + 1)))
+        counts = np.maximum(hi - lo + 1, 0)
+        require_table_fits("throughput candidate slots", int(counts.sum()) * 8)
+        self.slots = _ranges(lo, counts)
+        # Every canonical u is a release or the slot before one; every
+        # canonical v is a slot - 1, a deadline + 1, or the top query's end.
+        self.ugrid = np.unique(np.concatenate((self.releases - 1, self.releases)))
+        self.vgrid = np.unique(np.concatenate((self.slots - 1, self.deadline + 1)))
+        self.nu, self.nv = len(self.ugrid), len(self.vgrid)
+        if (n + 1) * self.nu * self.nv >= 1 << 63:
+            raise GapSchedError(f"{n} jobs over {self.nv} window ends: too many windows")
+        self.u0 = int(self.releases[0]) - 1
+        self.v0 = int(self.deadline.max()) + 1
+        self._discover()
+        self._fill()
 
     # -- canonicalization ---------------------------------------------------
-    def _canon(self, k: int, u: int, v: int):
-        """Returns ('base', vector) or ('cell', (k', u', v'))."""
-        if u > v:
-            return "base", self.empty_window
-        i = bisect.bisect_left(self.releases, u)
-        if i == self.n:
-            return "base", self.empty_jobs
-        if self.releases[i] != u:
-            u = self.releases[i] - 1
-        rels, last = self.windows[i][k]
-        j = bisect.bisect_right(rels, v)
-        if j == 0:
-            return "base", self.empty_jobs
-        k = last[j - 1] + 1
-        # Deadlines increase with the index, so job k-1 has the latest one.
-        return "cell", (k, u, min(v, self.jobs[k - 1].deadline + 1))
+    def _canon(self, k: int, u, v):
+        """Canonical forms (k', u', v') of the windows (k, u[i], v[i]).  k' is
+        -1 for an empty window (u > v) and 0 for one that holds none of the
+        first k jobs; u' and v' only mean something where k' > 0."""
+        rel, n = self.releases, self.n
+        i = rel.searchsorted(u)
+        j = rel.searchsorted(v, side="right")
+        # Sparse table: row l, column p is the largest deadline index below
+        # k among release ranks [p, p + 2**l), or -1.
+        table = np.full((int(self.log2[n]) + 1, n), -1, dtype=np.int64)
+        table[0] = np.where(self.rank_job < k, self.rank_job, -1)
+        for lv in range(1, len(table)):
+            w = 1 << (lv - 1)
+            np.maximum(table[lv - 1, :n - 2 * w + 1], table[lv - 1, w:n - w + 1],
+                       out=table[lv, :n - 2 * w + 1])
+        lv = self.log2[np.maximum(j - i, 1)]
+        ic = np.minimum(i, n - 1)
+        last = np.maximum(table[lv, ic], table[lv, j - (1 << lv)])
+        last = np.where(j > i, last, -1)
+        # Deadlines increase with the index, so the last job has the latest.
+        cu = np.where(rel[ic] == u, u, rel[ic] - 1)
+        cv = np.minimum(v, self.deadline[last] + 1)
+        return np.where(u > v, -1, last + 1), cu, cv
+
+    def _keys(self, k: int, u, v):
+        """One int64 per canonical window of (k, u[i], v[i]), ordered by
+        (k', u', v'); the base windows get -2 (empty) and -1 (no job)."""
+        ck, cu, cv = self._canon(k, u, v)
+        key = ((ck * self.nu + self.ugrid.searchsorted(cu)) * self.nv
+               + self.vgrid.searchsorted(cv))
+        return np.where(ck > 0, key, ck - 1)
 
     # -- the DP --------------------------------------------------------------
-    def table(self, k: int, u: int, v: int) -> tuple[int, ...]:
-        raw = (k, u, v)
-        got = self.seen.get(raw)
-        if got is not None:
-            return got
-        kind, key = self._canon(k, u, v)
-        if kind == "base":
-            self.seen[raw] = key
-            return key
-        got = self.memo.get(key)
-        if got is not None:
-            self.seen[raw] = got
-            return got
-        k, u, v = key
-        jk = self.jobs[k - 1]
-        wk = self.weights[k - 1]
-        budget = self.budget
-        best = list(self.table(k - 1, u, v))
-        arg = [("skip",)] * (budget + 1)
-        lo = jk.release
-        hi = min(jk.deadline, v)
-        i0 = bisect.bisect_left(self.slot_cands, lo)
-        i1 = bisect.bisect_right(self.slot_cands, hi)
-        for t in self.slot_cands[i0:i1]:
-            left = self.table(k - 1, u, t - 1)
-            right = self.table(k - 1, t + 1, v)
-            # Value vectors are non-decreasing in g (the base vectors are,
-            # and max-plus convolution and max keep it), so their infeasible
-            # entries form a prefix and left[g - rneg] + right[g - lneg]
-            # bounds every split of g from above.
-            lneg = left.count(_NEG)
-            rneg = right.count(_NEG)
-            for g in range(lneg + rneg, budget + 1):
-                # left[h] + wk + right[g-h] > best[g], first h on ties.
-                top = best[g] - wk
-                if left[g - rneg] + right[g - lneg] <= top:
-                    continue
-                pick = None
-                for h in range(lneg, g - rneg + 1):
-                    cand = left[h] + right[g - h]
-                    if cand > top:
-                        top, pick = cand, h
-                if pick is not None:
-                    best[g] = top + wk
-                    arg[g] = ("place", t, pick)
-        best = tuple(best)
-        self.memo[key] = best
-        self.choice[key] = arg
-        self.seen[raw] = best
-        return best
+    def _discover(self):
+        """Collect the canonical cells the top query reaches, level by level
+        from k = n down, with their children's rows."""
+        per_level = self.nu * self.nv
+        top = self._keys(self.n, np.array([self.u0]), np.array([self.v0]))
+        # Keys of the cells found but not yet expanded, sorted, so the
+        # highest level's cells are the tail.
+        pool = top[top >= 0]
+        levels = []
+        stored = 0
+        while len(pool):
+            k = int(pool[-1] // per_level)
+            cut = int(pool.searchsorted(k * per_level))
+            keys, pool = pool[cut:], pool[:cut]
+            rest = keys - k * per_level
+            u = self.ugrid[rest // self.nv]
+            v = self.vgrid[rest % self.nv]
+            # Candidate slots of job k: slots in [r_k, min(d_k, v)].
+            lo = int(self.slots.searchsorted(self.release[k - 1]))
+            hi = self.slots.searchsorted(np.minimum(self.deadline[k - 1], v), side="right")
+            counts = np.maximum(hi - lo, 0)
+            npairs = int(counts.sum())
+            stored += 8 * (2 * len(keys) + 2 * npairs)  # keys and child keys
+            require_table_fits("throughput windows", stored)
+            cell = np.repeat(np.arange(len(keys)), counts)
+            t = self.slots[lo + _ranges(np.zeros_like(counts), counts)]
+            children = self._keys(k - 1, np.concatenate((u, u[cell], t + 1)),
+                                  np.concatenate((v, t - 1, v[cell])))
+            pool = np.unique(np.concatenate((pool, children[children >= 0])))
+            levels.append((k, keys, lo, counts, children))
+        all_keys = np.concatenate([lvl[1] for lvl in reversed(levels)] + [top[:0]])
+        require_table_fits("throughput values", (2 + len(all_keys)) * (self.budget + 1) * 8)
 
-    def reconstruct(self, k: int, u: int, v: int, g: int, out: dict):
-        kind, res = self._canon(k, u, v)
-        if kind == "base":
-            return
-        k, u, v = res
-        step = self.choice[res][g]
-        if step[0] == "skip":
-            self.reconstruct(k - 1, u, v, g, out)
-            return
-        _, t, h = step
-        out[self.jobs[k - 1].id] = t
-        self.reconstruct(k - 1, u, t - 1, h, out)
-        self.reconstruct(k - 1, t + 1, v, g - h, out)
+        def rows(keys):
+            return np.where(keys < 0, keys + 2, all_keys.searchsorted(keys) + 2
+                            ).astype(np.int32)
+
+        # Per level: k, its first row, the offset of its first slot, where
+        # each cell's pairs start and end, and the child rows: the skip row
+        # of every cell, then the left row of every pair, then the right row.
+        self.levels = []
+        first = 2
+        while levels:
+            k, keys, lo, counts, children = levels.pop()
+            ends = np.cumsum(counts)
+            self.levels.append((k, first, lo, ends - counts, ends, rows(children)))
+            first += len(keys)
+        self.nrows = first
+        self.top_row = int(rows(top)[0])
+
+    def _fill(self):
+        """Values of all cells, level by level from k = 1 up."""
+        g1 = self.budget + 1
+        val = np.empty((self.nrows, g1), dtype=np.int64)
+        val[_EMPTY_WINDOW] = 0
+        val[_NO_JOB] = 0
+        val[_NO_JOB, 0] = _INFEASIBLE  # an idle window is one gap
+        block = max(1, _BLOCK_BYTES // (8 * g1))
+        for k, first, _, starts, ends, rows in self.levels:
+            ncell, npairs = len(ends), int(ends[-1])
+            best = np.full((ncell, g1), _INFEASIBLE, dtype=np.int64)
+            busy = np.flatnonzero(ends - starts)  # the cells with pairs
+            starts, ends = starts[busy], ends[busy]
+            for s in range(0, npairs, block):
+                e = min(s + block, npairs)
+                lv = val[rows[ncell + s:ncell + e]]
+                rv = val[rows[ncell + npairs + s:ncell + npairs + e]]
+                # most[:, g] = max over h of lv[:, h] + rv[:, g - h]
+                most = lv[:, :1] + rv
+                for h in range(1, g1):
+                    np.maximum(most[:, h:], lv[:, h:h + 1] + rv[:, :g1 - h],
+                               out=most[:, h:])
+                # The cells holding pairs s..e-1 and their segments.
+                c0, c1 = ends.searchsorted((s, e - 1), side="right")
+                hit = busy[c0:c1 + 1]
+                seg = np.maximum(starts[c0:c1 + 1] - s, 0)
+                best[hit] = np.maximum(best[hit], np.maximum.reduceat(most, seg))
+            place = np.where(best >= 0, best + self.weights[k - 1], _INFEASIBLE)
+            val[first:first + ncell] = np.maximum(val[rows[:ncell]], place)
+        self.val = val
 
     def values(self) -> tuple[int, ...]:
         """Best value at every counted budget <= ``budget`` for the whole
-        instance, its window padded one slot past both extremes."""
-        return self.table(self.n, self.u0, self.v0)
+        instance, its window padded one slot past both extremes; -1 marks
+        a budget no schedule meets."""
+        return tuple(max(int(x), -1) for x in self.val[self.top_row])
 
     def witness(self, counted_budget: int) -> dict:
+        """A schedule attaining ``values()[counted_budget]`` (which must be
+        feasible), rebuilt from the top cell with an explicit stack."""
+        val = self.val
+        firsts = [lvl[1] for lvl in self.levels]
         out: dict = {}
-        self.reconstruct(self.n, self.u0, self.v0, counted_budget, out)
+        stack = [(self.top_row, counted_budget)]
+        while stack:
+            row, g = stack.pop()
+            if row < 2:
+                continue
+            k, first, lo, starts, ends, rows = self.levels[
+                bisect.bisect_right(firsts, row) - 1]
+            c = row - first
+            ncell, npairs = len(ends), int(ends[-1])
+            best = val[row, g]
+            if best == val[rows[c], g]:  # skip wins every tie
+                stack.append((int(rows[c]), g))
+                continue
+            a, b = int(starts[c]), int(ends[c])
+            left = rows[ncell + a:ncell + b]
+            right = rows[ncell + npairs + a:ncell + npairs + b]
+            # sums[p, h] = left value at h + right value at g - h; the first
+            # match in row order is the first slot, then the first h.
+            sums = val[left, :g + 1] + val[right, g::-1]
+            p, h = divmod(int(np.argmax(sums == best - self.weights[k - 1])), g + 1)
+            out[self.jobs[k - 1].id] = int(self.slots[lo + p])
+            stack.append((int(right[p]), g - h))
+            stack.append((int(left[p]), h))
         return out
 
 

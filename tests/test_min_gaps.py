@@ -3,6 +3,7 @@ the (min,+) fill against a per-row reference, and the table guard."""
 
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -154,6 +155,23 @@ class TestTables:
                                          if y > x + 1)
                         counted = blocks - 1 + (1 if busy[0] > ra + 1 else 0)
                         assert counted == int(tables.gaps[k][a][b])
+
+
+    def test_witness_needs_no_recursion(self):
+        # The reconstruction visits one cell per job, 152 with the
+        # sentinels; a recursive walk would need that many frames.
+        inst = planted_normalized(random.Random(150), 150, 195, 3)
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            value, sched = min_gaps(inst)  # certified inside
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(sched.assignment) == 150
+        assert gap_stats(sched).gap_count == value
 
 
 class TestOracleEquivalence:

@@ -2,9 +2,11 @@
 
 import bisect
 import random
+import tracemalloc
 
 import pytest
 
+import gapsched.core
 from gapsched import throughput
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
 from gapsched.errors import GapSchedError, InfeasibleError
@@ -45,24 +47,78 @@ def tight_chain(k, weight=1):
     return Instance(tuple(Job(i, 2 * i, 2 * i, weight) for i in range(k)))
 
 
-def naive_canon(solver, k, u, v):
-    """The canonical window of (k, u, v) by rescanning the jobs; the
-    reference for the precomputed map behind ``_Solver._canon``."""
+def naive_canon(jobs, k, u, v):
+    """The canonical window of (k, u, v) over deadline-sorted ``jobs`` by
+    rescanning them, in the form ``_Solver._canon`` gives: k' = -1 for an
+    empty window, 0 for one holding none of the first k jobs (u' and v'
+    then unused)."""
     if u > v:
-        return "base", solver.empty_window
-    releases = sorted(j.release for j in solver.jobs)
+        return -1, None, None
+    releases = sorted(j.release for j in jobs)
     if u not in releases:
         i = bisect.bisect_left(releases, u)
         if i == len(releases) or releases[i] > v:
-            return "base", solver.empty_jobs
+            return 0, None, None
         u = releases[i] - 1
-    while k > 0 and not (u <= solver.jobs[k - 1].release <= v):
+    while k > 0 and not (u <= jobs[k - 1].release <= v):
         k -= 1
     if k == 0:
-        return "base", solver.empty_jobs
-    dmax = max(solver.jobs[i].deadline for i in range(k)
-               if u <= solver.jobs[i].release <= v)
-    return "cell", (k, u, min(v, dmax + 1))
+        return 0, None, None
+    dmax = max(jobs[i].deadline for i in range(k) if u <= jobs[i].release <= v)
+    return k, u, min(v, dmax + 1)
+
+
+def reference_dp(inst, weighted, budget):
+    """The windowed DP as memoised recursion over ``naive_canon``, with its
+    ties spelled out: skip, then the first slot, then the first h.  Returns
+    the top values and a witness for every feasible counted budget."""
+    jobs = inst.by_deadline()
+    n = len(jobs)
+    releases = sorted(j.release for j in jobs)
+    slots = sorted({r + s for r in releases for s in range(-n - 1, n + 2)})
+    base = {-1: (0,) * (budget + 1), 0: (-1,) + (0,) * budget}
+    memo = {}
+
+    def table(k, u, v):
+        key = naive_canon(jobs, k, u, v)
+        if key[0] <= 0:
+            return base[key[0]]
+        if key not in memo:
+            k, u, v = key
+            job = jobs[k - 1]
+            w = job.weight if weighted else 1
+            best = list(table(k - 1, u, v))
+            arg = [None] * (budget + 1)
+            for t in slots:
+                if not job.release <= t <= min(job.deadline, v):
+                    continue
+                left, right = table(k - 1, u, t - 1), table(k - 1, t + 1, v)
+                for g in range(budget + 1):
+                    for h in range(g + 1):
+                        if min(left[h], right[g - h]) >= 0 and \
+                                left[h] + w + right[g - h] > best[g]:
+                            best[g] = left[h] + w + right[g - h]
+                            arg[g] = (t, h)
+            memo[key] = tuple(best), arg
+        return memo[key][0]
+
+    def witness(k, u, v, g, out):
+        key = naive_canon(jobs, k, u, v)
+        if key[0] <= 0:
+            return out
+        k, u, v = key
+        step = memo[key][1][g]
+        if step is None:
+            return witness(k - 1, u, v, g, out)
+        t, h = step
+        out[jobs[k - 1].id] = t
+        witness(k - 1, u, t - 1, h, out)
+        return witness(k - 1, t + 1, v, g - h, out)
+
+    top = (n, releases[0] - 1, max(j.deadline for j in jobs) + 1)
+    values = table(*top)
+    return values, {g: witness(*top, g, {}) for g in range(budget + 1)
+                    if values[g] >= 0}
 
 
 def record_budgets(monkeypatch):
@@ -135,12 +191,75 @@ class TestMaxThroughput:
             got, witness = max_throughput(inst, 10**6, weighted)
             assert (got, witness.assignment) == (value, sched.assignment)
 
+    def test_long_chain_needs_no_recursion(self):
+        # One cell per job: a recursive DP would go 1200 frames deep.
+        inst = tight_chain(1200)
+        for gaps in (0, 3):
+            value, sched = max_throughput(inst, gaps)  # certified inside
+            assert value == len(sched.assignment) == gaps + 1
+
+    def test_translation_shifts_only_the_witness(self):
+        # Negative slots must not be mistaken for markers of any kind.
+        rng = random.Random(69)
+        for trial in range(30):
+            inst = random_normalized(rng, rng.randint(1, 9), 16, weights=True)
+            moved = Instance(tuple(Job(j.id, j.release - 1000, j.deadline - 1000,
+                                       j.weight) for j in inst.jobs))
+            for g in range(3):
+                for weighted in (False, True):
+                    value, sched = max_throughput(inst, g, weighted)
+                    got, witness = max_throughput(moved, g, weighted)
+                    assert got == value, (inst, g, weighted)
+                    assert witness.assignment == {
+                        j: t - 1000 for j, t in sched.assignment.items()}
+
     def test_monotone_in_budget(self):
         rng = random.Random(63)
         for _ in range(30):
             inst = random_normalized(rng, 5, 9)
             vals = [max_throughput(inst, g)[0] for g in range(6)]
             assert vals == sorted(vals)
+
+
+class TestGuards:
+    def test_total_weight_below_2_62(self):
+        inst = Instance((Job(0, 0, 1, 2**61), Job(1, 1, 2, 2**61 - 1)))
+        assert max_throughput(inst, 0, weighted=True)[0] == 2**62 - 1
+        assert max_throughput(inst, 0)[0] == 2
+        heavy = Instance((Job(0, 0, 1, 2**61), Job(1, 1, 2, 2**61)))
+        for call in (lambda: max_throughput(heavy, 0, weighted=True),
+                     lambda: min_gaps_for_throughput(heavy, 1, weighted=True)):
+            with pytest.raises(GapSchedError, match="2\\*\\*62"):
+                call()
+
+    @pytest.mark.parametrize("base, ok", [(2**62 - 3, True), (2**62 - 2, False),
+                                          (-2**62 + 1, True), (-2**62, False)])
+    def test_coordinates_inside_2_62(self, base, ok):
+        inst = Instance((Job(0, base, base + 1), Job(1, base + 1, base + 2)))
+        if ok:
+            value, sched = max_throughput(inst, 0)
+            assert value == 2 and min(sched.assignment.values()) == base
+        else:
+            with pytest.raises(GapSchedError, match="2\\*\\*62"):
+                max_throughput(inst, 0)
+
+    def test_cap_refuses_before_allocating(self, monkeypatch):
+        # An uncapped solve peaks near 1.5 MB; the refusal comes after the
+        # first level's keys, about 20 kB.
+        inst = planted_normalized(random.Random(5), 24, 60, 24)
+        max_throughput(inst, 3)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            max_throughput(inst, 3)
+            full = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
+            with pytest.raises(GapSchedError, match="above the cap of 1000"):
+                max_throughput(inst, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full // 20, (peak, full)
 
 
 class TestEdfMaxThroughput:
@@ -270,6 +389,20 @@ class TestBudgetGrowth:
                 if small.values()[g] >= 0:
                     assert small.witness(g) == large.witness(g), (inst, g)
 
+    def test_same_values_witnesses_and_ties_as_recursion(self):
+        rng = random.Random(70)
+        for trial in range(150):
+            weighted = trial % 2 == 1
+            inst = random_normalized(rng, rng.randint(1, 8), 14, weights=weighted)
+            if not inst.jobs:
+                continue
+            budget = len(inst.jobs) + 1
+            values, witnesses = reference_dp(inst, weighted, budget)
+            solver = throughput._Solver(inst, weighted, budget)
+            assert solver.values() == values, inst
+            for g, want in witnesses.items():
+                assert solver.witness(g) == want, (inst, g)
+
     def test_duality_at_benchmark_scale(self):
         inst = planted_normalized(random.Random(30), 30, 75, reach=1)
         best = [max_throughput(inst, g)[0] for g in range(30)]
@@ -281,23 +414,30 @@ class TestBudgetGrowth:
 
 
 class TestCanonicalWindows:
-    def test_precomputed_map_matches_rescan(self):
+    def test_precomputed_map_matches_rescan(self, monkeypatch):
+        # Every window the discovery pass canonicalizes, one by one, against
+        # a rescan of the jobs.
         rng = random.Random(67)
+        canon = throughput._Solver._canon
+        calls = []
+
+        def recording(self, k, u, v):
+            got = canon(self, k, u, v)
+            calls.append((k, u, v, got))
+            return got
+
+        monkeypatch.setattr(throughput._Solver, "_canon", recording)
         for trial in range(60):
             inst = random_normalized(rng, rng.randint(1, 12), 30)
             if trial % 3 == 0:  # a collapsed job: released after its deadline
                 inst = Instance(inst.jobs + (Job(99, 40, -1),))
+            calls.clear()
             solver = throughput._Solver(inst, False, 3)
-            canon = solver._canon
-            queries = []
-
-            def recording(k, u, v):
-                queries.append((k, u, v))
-                return canon(k, u, v)
-
-            solver._canon = recording
-            vals = solver.values()
-            solver.witness(max(g for g in range(4) if vals[g] >= 0))
-            assert queries
-            for q in queries:
-                assert canon(*q) == naive_canon(solver, *q), (inst, q)
+            assert calls
+            for k, us, vs, got in calls:
+                for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+                    want = naive_canon(solver.jobs, k, u, v)
+                    cell = tuple(int(x[i]) for x in got)
+                    if want[0] <= 0:  # a base window: only its kind counts
+                        cell, want = cell[:1], want[:1]
+                    assert cell == want, (inst, k, u, v)
