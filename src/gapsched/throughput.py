@@ -9,10 +9,12 @@ budget gamma + 2.
 
 Window keys are canonicalized -- u snaps to (next release) - 1, v to
 (max reachable deadline) + 1, k to the last job actually inside -- which
-keeps the cells at O(n) distinct u's and O(n^2) distinct v's.  The last
-job inside [u, v] among the first k is a range maximum of deadline
-indices over the release order, restricted to indices below k; a sparse
-table of O(n log n) entries answers it, rebuilt for each level.
+keeps the cells at O(n) distinct u's and O(n^2) distinct v's.  A window
+whose jobs were all released after their deadlines is one idle gap, like
+a window with no job.  The last job inside [u, v] among the first k is
+a range maximum of deadline indices over the release order, restricted
+to indices below k; a sparse table of O(n log n) entries answers it,
+rebuilt for each level.
 Candidate slots for the newest job are releases plus offsets in
 [-(n+1), n+1]: every block of a (left-shifted) optimal schedule contains
 a job at its release, and blocks hold at most n jobs.
@@ -113,7 +115,8 @@ class _Solver:
     def _canon(self, k: int, u, v):
         """Canonical forms (k', u', v') of the windows (k, u[i], v[i]).  k' is
         -1 for an empty window (u > v) and 0 for one that holds none of the
-        first k jobs; u' and v' only mean something where k' > 0."""
+        first k jobs, or only collapsed ones; u' and v' only mean something
+        where k' > 0."""
         rel, n = self.releases, self.n
         i = rel.searchsorted(u)
         j = rel.searchsorted(v, side="right")
@@ -130,9 +133,11 @@ class _Solver:
         last = np.maximum(table[lv, ic], table[lv, j - (1 << lv)])
         last = np.where(j > i, last, -1)
         # Deadlines increase with the index, so the last job has the latest.
+        # If even that one ends before u', every job inside is collapsed
+        # (released after its deadline) and the window is one idle gap.
         cu = np.where(rel[ic] == u, u, rel[ic] - 1)
         cv = np.minimum(v, self.deadline[last] + 1)
-        return np.where(u > v, -1, last + 1), cu, cv
+        return np.where(u > v, -1, np.where(cv < cu, 0, last + 1)), cu, cv
 
     def _keys(self, k: int, u, v):
         """One int64 per canonical window of (k, u[i], v[i]), ordered by

@@ -65,6 +65,8 @@ def naive_canon(jobs, k, u, v):
     if k == 0:
         return 0, None, None
     dmax = max(jobs[i].deadline for i in range(k) if u <= jobs[i].release <= v)
+    if dmax + 1 < u:  # every job inside is released after its deadline
+        return 0, None, None
     return k, u, min(v, dmax + 1)
 
 
@@ -212,6 +214,21 @@ class TestMaxThroughput:
                     assert got == value, (inst, g, weighted)
                     assert witness.assignment == {
                         j: t - 1000 for j, t in sched.assignment.items()}
+
+    def test_collapsed_windows_match_oracle(self):
+        # A job released after its deadline never runs, so a window holding
+        # only such jobs is one idle gap, not an empty window.
+        rng = random.Random(71)
+        for trial in range(60):
+            n = rng.randint(1, 6)
+            windows = zip(rng.sample(range(14), n), rng.sample(range(14), n))
+            inst = Instance(tuple(Job(i, r, d, rng.randint(0, 4))
+                                  for i, (r, d) in enumerate(windows)))
+            for g in range(n):
+                for weighted in (False, True):
+                    expect, _ = oracle_max_throughput(inst, g, weighted)
+                    value, _ = max_throughput(inst, g, weighted)  # certified
+                    assert value == expect, (inst, g, weighted)
 
     def test_monotone_in_budget(self):
         rng = random.Random(63)
@@ -429,8 +446,10 @@ class TestCanonicalWindows:
         monkeypatch.setattr(throughput._Solver, "_canon", recording)
         for trial in range(60):
             inst = random_normalized(rng, rng.randint(1, 12), 30)
-            if trial % 3 == 0:  # a collapsed job: released after its deadline
-                inst = Instance(inst.jobs + (Job(99, 40, -1),))
+            if trial % 3 == 0:  # collapsed jobs: released after their deadline
+                free = sorted(set(range(30)) - {j.release for j in inst.jobs})
+                inst = Instance(inst.jobs + (Job(98, rng.choice(free), -2),
+                                             Job(99, 40, -1)))
             calls.clear()
             solver = throughput._Solver(inst, False, 3)
             assert calls
