@@ -4,12 +4,16 @@ Intervals have integer endpoints; chosen representative points may be
 rational (fractions.Fraction).  A hitting set is kept as the map
 interval-id -> representative; its gaps are the differences between
 consecutive representatives in sorted order.  No floating point anywhere.
+
+Rationals appear only at the API boundary: a gap bound p/q given to
+``viable`` and the representatives returned.  The separation greedy runs
+on the line scaled by q, where every point it places is an integer, and
+the searches sort the intervals once and then probe that integer greedy.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,9 +108,13 @@ def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
     return table
 
 
-def _hit_table(ivs: list[Interval], weights: list[int], budget: int):
+def _hit_table(ivs: list[Interval], weights: list[int], budget: int, reach=None):
     """DP columns best[b][g] = max weight hit by <= g points from the first
-    b+1 deadlines, one of them d_b; plus per-step argmax for witnesses."""
+    b+1 deadlines, one of them d_b; plus per-step argmax for witnesses.
+
+    With ``reach``, the fill stops after the first column whose best value
+    reaches it; the later columns stay unfilled.
+    """
     n = len(ivs)
     delta = _delta_table(ivs, weights)
     hits = [sum(weights[i] for i in range(n)
@@ -117,6 +125,8 @@ def _hit_table(ivs: list[Interval], weights: list[int], budget: int):
     for b in range(n):
         best[b][1] = hits[b]
     for g in range(2, budget + 1):
+        if reach is not None and max(row[g - 1] for row in best) >= reach:
+            break
         for b in range(n):
             best[b][g] = best[b][g - 1]
             prev[b][g] = (b, g - 1)
@@ -174,12 +184,62 @@ def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
     weights = [iv.weight if weighted else 1 for iv in ivs]
     if m > sum(weights):
         raise InfeasibleError(f"requirement {m} exceeds total {sum(weights)}")
-    best, prev = _hit_table(ivs, weights, n)
+    best, prev = _hit_table(ivs, weights, n, reach=m)
     for g in range(1, n + 1):
         value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
         if value >= m:
             return g, _hit_witness(ivs, best, prev, arg, g)
     raise InfeasibleError(f"requirement {m} unreachable")
+
+
+class SeparationGreedy:
+    """The viability greedy of ``viable``, its sorting done once so that a
+    search can probe many bounds.
+
+    ``probe(p, q)`` decides the bound lambda = p/q (q > 0) on the line
+    scaled by q: every coordinate is multiplied by q, so each point the
+    greedy places is an integer.  Deadline order ranks the intervals by
+    end first, so the released interval that ends earliest is the one
+    with the smallest index, and a heap of indices serves it.
+    """
+
+    def __init__(self, intervals):
+        self.ivs = _by_deadline(intervals)
+        self.ends = [iv.end for iv in self.ivs]
+        starts = [iv.start for iv in self.ivs]
+        self.by_release = sorted(range(1, len(starts)), key=starts.__getitem__)
+        self.releases = [starts[i] for i in self.by_release]
+
+    def probe(self, p: int, q: int) -> list[int] | None:
+        """The greedy's points times q, by deadline order, if every gap can
+        be at most p/q; otherwise None."""
+        ends, by_release, releases = self.ends, self.by_release, self.releases
+        n = len(ends)
+        if n == 0:
+            return []
+        if p < 0 and n > 1:
+            return None
+        points = [0] * n
+        max_h = points[0] = ends[0] * q
+        heap: list[int] = []  # released intervals, by index
+        ptr = 0
+        for _ in range(n - 1):
+            z = max_h + p
+            # A start s, an integer, is released when s * q <= z.
+            zq = z // q
+            while ptr < n - 1 and releases[ptr] <= zq:
+                heapq.heappush(heap, by_release[ptr])
+                ptr += 1
+            if not heap:
+                return None
+            i = heapq.heappop(heap)
+            h = points[i] = ends[i] * q if ends[i] <= zq else z
+            if h > max_h:
+                max_h = h
+        return points
+
+    def witness(self, points: list[int], q: int) -> HittingSet:
+        return HittingSet({iv.id: Fraction(h, q) for iv, h in zip(self.ivs, points)})
 
 
 def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
@@ -188,34 +248,12 @@ def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
     Left-to-right greedy: start at the earliest deadline, then repeatedly
     give the earliest-ending reachable interval the latest useful point.
     """
-    n = len(intervals)
-    if n == 0:
-        return True, HittingSet({})
+    greedy = SeparationGreedy(intervals)
     lam = Fraction(lam)
-    if lam < 0:
-        return (True, HittingSet({intervals[0].id: Fraction(intervals[0].end)})) \
-            if n == 1 else (False, None)
-    ivs = _by_deadline(intervals)
-    reps = {ivs[0].id: Fraction(ivs[0].end)}
-    max_h = Fraction(ivs[0].end)
-    by_release = sorted(range(1, n), key=lambda i: ivs[i].start)
-    heap: list[tuple[int, int]] = []  # (end, index), released intervals
-    ptr = 0
-    for _ in range(n - 1):
-        z = max_h + lam
-        while ptr < len(by_release) and ivs[by_release[ptr]].start <= z:
-            i = by_release[ptr]
-            heapq.heappush(heap, (ivs[i].end, i))
-            ptr += 1
-        if not heap:
-            return False, None
-        _, i = heapq.heappop(heap)
-        iv = ivs[i]
-        h = Fraction(iv.end) if iv.end <= z else z
-        reps[iv.id] = h
-        if h > max_h:
-            max_h = h
-    return True, HittingSet(reps)
+    points = greedy.probe(lam.numerator, lam.denominator)
+    if points is None:
+        return False, None
+    return True, greedy.witness(points, lam.denominator)
 
 
 def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
@@ -226,31 +264,35 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
     apart, so once bisection has shrunk the optimum's bracket (lo, hi] to
     that width, the optimum is the smallest such fraction above lo.
     """
-    if not intervals:
+    greedy = SeparationGreedy(intervals)
+    n = len(greedy.ivs)
+    if n == 0:
         raise GapSchedError("need at least one interval")
-    ok, wit = viable(intervals, 0)
-    if ok:
-        return Fraction(0), wit
+    points = greedy.probe(0, 1)
+    if points is not None:
+        return Fraction(0), greedy.witness(points, 1)
     # n >= 2 here.  At hi every interval is released once the first point,
     # the earliest deadline, is placed, so hi is viable.
-    n = len(intervals)
     lo = Fraction(0)
-    hi = Fraction(max(iv.start for iv in intervals) - min(iv.end for iv in intervals))
+    hi = Fraction(max(iv.start for iv in greedy.ivs) - greedy.ends[0])
     while (hi - lo) * (n - 1) ** 2 > 1:
         mid = (lo + hi) / 2
-        if viable(intervals, mid)[0]:
+        if greedy.probe(mid.numerator, mid.denominator) is not None:
             hi = mid
         else:
             lo = mid
-    return _viable_witness(
-        intervals, min(Fraction(math.floor(lo * k) + 1, k) for k in range(1, n)))
-
-
-def _viable_witness(intervals, lam) -> tuple[Fraction, HittingSet]:
-    ok, wit = viable(intervals, lam)
-    if not ok:
+    # The smallest u/k above lo = a/b is (floor(a k / b) + 1)/k, minimised over k.
+    a, b = lo.numerator, lo.denominator
+    u, k = a // b + 1, 1
+    for k2 in range(2, n):
+        u2 = a * k2 // b + 1
+        if u2 * k < u * k2:
+            u, k = u2, k2
+    lam = Fraction(u, k)
+    points = greedy.probe(lam.numerator, lam.denominator)
+    if points is None:
         raise GapSchedError(f"searched gap bound {lam} is not viable")
-    return lam, wit
+    return lam, greedy.witness(points, lam.denominator)
 
 
 def min_points_flow_bound(releases, bound) -> HittingSet:

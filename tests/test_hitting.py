@@ -1,18 +1,21 @@
 """Continuous interval-hitting solvers against endpoint-subset brute force."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gapsched import hitting
 from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.hitting import (
     HittingSet,
     Interval,
+    SeparationGreedy,
     _by_deadline,
     _delta_table,
+    _hit_table,
+    _hit_witness,
     greedy_min_hitting,
     max_hit_budget,
     min_hit_with_throughput,
@@ -85,8 +88,9 @@ class TestDistinctIds:
         lambda x: max_hit_budget(x, 2),
         lambda x: min_hit_with_throughput(x, 1),
         lambda x: viable(x, 1),
+        lambda x: viable(x, -1),
         min_max_gap_cont,
-    ], ids=["greedy", "budget", "throughput", "viable", "min_max_gap"])
+    ], ids=["greedy", "budget", "throughput", "viable", "viable-negative", "min_max_gap"])
     def test_repeated_id_refused(self, solve):
         with pytest.raises(GapSchedError, match="distinct"):
             solve([Interval(0, 0, 0), Interval(0, 5, 5)])
@@ -221,6 +225,64 @@ class TestMinHitWithThroughput:
             assert len(hs.representatives) >= m
 
 
+def min_hit_full_table(intervals, m):
+    """min_hit_with_throughput's answer read from the table of all n
+    budget columns."""
+    order = _by_deadline(intervals)
+    n = len(order)
+    best, prev = _hit_table(order, [1] * n, n)
+    for g in range(1, n + 1):
+        value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
+        if value >= m:
+            return g, _hit_witness(order, best, prev, arg, g)
+    raise AssertionError("n points hit every interval")
+
+
+class TestMinHitEarlyStop:
+    def test_matches_full_table(self):
+        rng = random.Random(57)
+        for trial in range(150):
+            n = rng.randint(1, 12)
+            intervals = (random_shared_intervals(rng, n) if trial % 2
+                         else random_intervals(rng, n, 3 * n))
+            for m in range(1, n + 1):
+                assert min_hit_with_throughput(intervals, m) == \
+                    min_hit_full_table(intervals, m)
+
+
+def viable_reference(intervals, lam):
+    """The separation greedy in Fraction arithmetic throughout, with a heap
+    of (end, index) pairs: the reference for ``viable``'s scaled-integer
+    probe."""
+    order = _by_deadline(intervals)
+    n = len(order)
+    if n == 0:
+        return True, HittingSet({})
+    lam = Fraction(lam)
+    if lam < 0:
+        return (True, HittingSet({order[0].id: Fraction(order[0].end)})) \
+            if n == 1 else (False, None)
+    reps = {order[0].id: Fraction(order[0].end)}
+    max_h = Fraction(order[0].end)
+    by_release = sorted(range(1, n), key=lambda i: order[i].start)
+    heap = []
+    ptr = 0
+    for _ in range(n - 1):
+        z = max_h + lam
+        while ptr < len(by_release) and order[by_release[ptr]].start <= z:
+            i = by_release[ptr]
+            heapq.heappush(heap, (order[i].end, i))
+            ptr += 1
+        if not heap:
+            return False, None
+        _, i = heapq.heappop(heap)
+        iv = order[i]
+        h = Fraction(iv.end) if iv.end <= z else z
+        reps[iv.id] = h
+        max_h = max(max_h, h)
+    return True, HittingSet(reps)
+
+
 class TestViable:
     def test_two_tight_points(self):
         assert viable(ivs([(0, 0), (2, 2)]), 2)[0]
@@ -241,6 +303,25 @@ class TestViable:
                 assert hs.max_gap() <= lam
                 for iv in intervals:
                     assert iv.start <= hs.representatives[iv.id] <= iv.end
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(79)
+        for trial in range(400):
+            n = 1 if trial % 10 == 0 else rng.randint(2, 10)
+            low = rng.randint(-40, 5)
+            if trial % 3:
+                pairs = [(iv.start + low, iv.end + low)
+                         for iv in random_intervals(rng, n, rng.choice([4, 10, 30]))]
+                intervals = ivs(pairs)
+            else:
+                intervals = random_shared_intervals(rng, n)
+            lams = [Fraction(rng.randint(-5, 40), rng.randint(1, 7)),
+                    Fraction(rng.randint(1, 10 ** 15), rng.randint(10 ** 13, 10 ** 14)),
+                    Fraction(rng.randint(0, 30)),
+                    rng.uniform(0, 12), -rng.uniform(0, 3), -1, 0]
+            for lam in lams:
+                assert viable(intervals, lam) == viable_reference(intervals, lam), \
+                    (intervals, lam)
 
     def test_monotone_in_lambda(self):
         rng = random.Random(78)
@@ -290,16 +371,17 @@ def _candidate_gap_values(intervals) -> list[Fraction]:
 def min_max_gap_cont_reference(intervals):
     """Minimize the maximum gap by binary search over the explicit
     candidate list, zero included.  Cubic-size candidate set; the
-    reference for the bisection and lattice snap in min_max_gap_cont."""
+    reference for the bisection and lattice snap in min_max_gap_cont; it
+    probes the Fraction greedy, not the integer one."""
     cands = [Fraction(0)] + _candidate_gap_values(intervals)
     lo, hi = 0, len(cands) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if viable(intervals, cands[mid])[0]:
+        if viable_reference(intervals, cands[mid])[0]:
             hi = mid
         else:
             lo = mid + 1
-    ok, witness = viable(intervals, cands[lo])
+    ok, witness = viable_reference(intervals, cands[lo])
     assert ok
     return cands[lo], witness
 
@@ -343,15 +425,16 @@ class TestMinMaxGapCont:
         intervals = [Interval(j.id, j.release, j.deadline) for j in jobs]
         span = max(j.release for j in jobs) - min(j.deadline for j in jobs)
         probes = []
-        real = hitting.viable
+        real = SeparationGreedy.probe
 
-        def spy(intervals, lam):
-            probes.append(lam)
-            return real(intervals, lam)
+        def spy(self, p, q):
+            probes.append(Fraction(p, q))
+            return real(self, p, q)
 
-        monkeypatch.setattr(hitting, "viable", spy)
+        monkeypatch.setattr(SeparationGreedy, "probe", spy)
         lam, hs = min_max_gap_cont(intervals)
         assert 0 < lam and hs.max_gap() <= lam
+        assert probes[-1] == lam
         assert len(probes) <= 2 + (span * 1999 ** 2 - 1).bit_length()
 
     def test_matches_brute_force_grid(self):

@@ -4,11 +4,11 @@ import math
 import random
 
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
-from gapsched.hitting import Interval, min_max_gap_cont
+from gapsched.hitting import Interval, SeparationGreedy, min_max_gap_cont
 from gapsched.min_max_gap import min_max_gap
 from gapsched.oracle import oracle_solve
 
-from helpers import random_feasible_normalized
+from helpers import planted_normalized, random_feasible_normalized
 
 
 def continuous_bound(inst):
@@ -47,6 +47,10 @@ class TestOracleEquivalence:
 
 
 class TestContinuousBound:
+    """min_max_gap bisects the integers with the integer greedy and never
+    computes lambda; min_max_gap_cont bisects the rationals and snaps to a
+    fraction.  Agreement checks one path against the other."""
+
     def test_value_is_rounded_continuous_optimum(self):
         rng = random.Random(43)
         done = 0
@@ -59,3 +63,26 @@ class TestContinuousBound:
             value, sched = min_max_gap(inst)
             assert value == max(1, math.ceil(continuous_bound(inst))), inst
             assert gap_stats(sched).max_separation == value
+
+
+class TestProbes:
+    def test_integer_bisection_depth(self, monkeypatch):
+        # One probe per halving of [1, H], one for the schedule.
+        rng = random.Random(47)
+        probes = []
+        real = SeparationGreedy.probe
+
+        def spy(self, p, q):
+            probes.append(q)
+            return real(self, p, q)
+
+        monkeypatch.setattr(SeparationGreedy, "probe", spy)
+        for n, horizon, reach in [(2000, 2600, 6), (300, 3000, 40), (40, 80, 80)]:
+            inst = planted_normalized(rng, n, horizon, reach)
+            span = (max(j.release for j in inst.jobs)
+                    - min(j.deadline for j in inst.jobs))
+            probes.clear()
+            value, _ = min_max_gap(inst)
+            assert value >= 1 and probes
+            assert len(probes) <= 2 + span.bit_length()
+            assert set(probes) == {1}
