@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -27,6 +28,10 @@ class Job:
     weight: int = 1
 
     def __post_init__(self):
+        # The DPs and oracles sum weights in int64 tables.  (int is listed
+        # first because the abstract class alone is slow to check.)
+        if not isinstance(self.weight, (int, numbers.Integral)):
+            raise ValueError(f"job {self.id}: weight {self.weight!r} is not an integer")
         if self.weight < 0:
             raise ValueError(f"job {self.id}: negative weight")
 

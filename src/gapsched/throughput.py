@@ -33,6 +33,11 @@ Reconstruction walks down from the top cell with an explicit stack and
 re-derives each choice from the values, so no choice is stored: skip
 wins every tie, then the first slot, then the first left budget h.
 
+Discovery depends on neither budget nor weights, so every fill
+(``_Solver``) on an instance shares its ``_Windows``.  ``_windows`` retains
+the last instance's, which the slot and window ``require_table_fits``
+checks bound, so a sweep over budgets on one instance discovers once.
+
 Budgets are prefix-closed.  A cell's entry at counted budget g combines
 only entries <= g of its sub-cells, ties go to skip, then the first slot
 and split in a fixed order, and the base vectors for budget B are
@@ -67,24 +72,16 @@ def _ranges(starts, counts):
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
-@dataclass
-class _Solver:
-    """The windowed DP for one non-empty instance at one counted budget."""
+class _Windows:
+    """The candidate slots, canonical cells and children of the DP for one
+    non-empty instance, whatever the budget and weights."""
 
-    inst: Instance
-    weighted: bool
-    budget: int  # counted-gap budget (boundary gaps included)
-
-    def __post_init__(self):
-        jobs = self.inst.by_deadline()
+    def __init__(self, inst: Instance):
+        jobs = inst.by_deadline()
         self.jobs = jobs
         self.n = n = len(jobs)
-        weights = [j.weight if self.weighted else 1 for j in jobs]
-        if sum(weights) >= _LIMIT:
-            raise GapSchedError(f"total weight {sum(weights)} is not below 2**62")
         if any(not -_LIMIT < x < _LIMIT for j in jobs for x in (j.release, j.deadline)):
             raise GapSchedError("coordinates must lie strictly inside +-2**62")
-        self.weights = weights
         self.release = np.array([j.release for j in jobs], dtype=np.int64)
         self.deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
         self.rank_job = np.argsort(self.release)   # deadline index by release rank
@@ -109,7 +106,6 @@ class _Solver:
         self.u0 = int(self.releases[0]) - 1
         self.v0 = int(self.deadline.max()) + 1
         self._discover()
-        self._fill()
 
     # -- canonicalization ---------------------------------------------------
     def _canon(self, k: int, u, v):
@@ -179,7 +175,6 @@ class _Solver:
             pool = np.unique(np.concatenate((pool, children[children >= 0])))
             levels.append((k, keys, lo, counts, children))
         all_keys = np.concatenate([lvl[1] for lvl in reversed(levels)] + [top[:0]])
-        require_table_fits("throughput values", (2 + len(all_keys)) * (self.budget + 1) * 8)
 
         def rows(keys):
             return np.where(keys < 0, keys + 2, all_keys.searchsorted(keys) + 2
@@ -197,16 +192,33 @@ class _Solver:
             first += len(keys)
         self.nrows = first
         self.top_row = int(rows(top)[0])
+        self.firsts = [lvl[1] for lvl in self.levels]  # what witness bisects
+
+
+@dataclass
+class _Solver:
+    """The DP's values over one instance's windows at one counted budget."""
+
+    win: _Windows
+    weighted: bool
+    budget: int  # counted-gap budget (boundary gaps included)
+
+    def __post_init__(self):
+        self.weights = [j.weight if self.weighted else 1 for j in self.win.jobs]
+        if sum(self.weights) >= _LIMIT:
+            raise GapSchedError(f"total weight {sum(self.weights)} is not below 2**62")
+        self._fill()
 
     def _fill(self):
         """Values of all cells, level by level from k = 1 up."""
         g1 = self.budget + 1
-        val = np.empty((self.nrows, g1), dtype=np.int64)
+        require_table_fits("throughput values", self.win.nrows * g1 * 8)
+        val = np.empty((self.win.nrows, g1), dtype=np.int64)
         val[_EMPTY_WINDOW] = 0
         val[_NO_JOB] = 0
         val[_NO_JOB, 0] = _INFEASIBLE  # an idle window is one gap
         block = max(1, _BLOCK_BYTES // (8 * g1))
-        for k, first, _, starts, ends, rows in self.levels:
+        for k, first, _, starts, ends, rows in self.win.levels:
             ncell, npairs = len(ends), int(ends[-1])
             best = np.full((ncell, g1), _INFEASIBLE, dtype=np.int64)
             busy = np.flatnonzero(ends - starts)  # the cells with pairs
@@ -233,21 +245,20 @@ class _Solver:
         """Best value at every counted budget <= ``budget`` for the whole
         instance, its window padded one slot past both extremes; -1 marks
         a budget no schedule meets."""
-        return tuple(max(int(x), -1) for x in self.val[self.top_row])
+        return tuple(max(int(x), -1) for x in self.val[self.win.top_row])
 
     def witness(self, counted_budget: int) -> dict:
         """A schedule attaining ``values()[counted_budget]`` (which must be
         feasible), rebuilt from the top cell with an explicit stack."""
-        val = self.val
-        firsts = [lvl[1] for lvl in self.levels]
+        val, win = self.val, self.win
         out: dict = {}
-        stack = [(self.top_row, counted_budget)]
+        stack = [(win.top_row, counted_budget)]
         while stack:
             row, g = stack.pop()
             if row < 2:
                 continue
-            k, first, lo, starts, ends, rows = self.levels[
-                bisect.bisect_right(firsts, row) - 1]
+            k, first, lo, starts, ends, rows = win.levels[
+                bisect.bisect_right(win.firsts, row) - 1]
             c = row - first
             ncell, npairs = len(ends), int(ends[-1])
             best = val[row, g]
@@ -261,10 +272,23 @@ class _Solver:
             # match in row order is the first slot, then the first h.
             sums = val[left, :g + 1] + val[right, g::-1]
             p, h = divmod(int(np.argmax(sums == best - self.weights[k - 1])), g + 1)
-            out[self.jobs[k - 1].id] = int(self.slots[lo + p])
+            out[win.jobs[k - 1].id] = int(win.slots[lo + p])
             stack.append((int(right[p]), g - h))
             stack.append((int(left[p]), h))
         return out
+
+
+_last = None  # (instance, its _Windows): the one entry _windows keeps
+
+
+def _windows(inst: Instance) -> _Windows:
+    """The windows of ``inst``, reused while calls stay on one instance."""
+    global _last
+    hit = _last
+    if hit is None or hit[0] != inst:
+        hit = _last = None  # never hold two structures at once
+        hit = _last = inst, _Windows(inst)
+    return hit[1]
 
 
 def max_throughput(inst: Instance, gaps: int,
@@ -278,7 +302,7 @@ def max_throughput(inst: Instance, gaps: int,
         return 0, Schedule(inst, {})
     # n jobs leave at most n - 1 interior gaps, so larger budgets add nothing.
     counted = min(gaps, len(inst.jobs) - 1) + 2
-    solver = _Solver(inst, weighted, counted)
+    solver = _Solver(_windows(inst), weighted, counted)
     value = solver.values()[counted]
     sched = Schedule(inst, solver.witness(counted))
     certify(sched, inst, Constraints(max_gaps=gaps), value,
@@ -303,13 +327,13 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
             raise InfeasibleError(f"at most {best} jobs are schedulable")
     cap = len(inst.jobs) - 1
     checked = -1  # interior budgets up to here fall short of the threshold
-    # Most of a solve is its sweep over cells and candidate slots, which
-    # does not depend on the budget, so a solve at interior budget 4 costs
-    # little more than one at 0; starting at 1 would take three solves to
-    # get there.
+    # The windows are discovered once, so a doubling costs only a fill.  A
+    # fill at interior budget 4 costs two or three at 0; starting at 1 would
+    # take three fills to get there.
+    win = _windows(inst)
     gaps = min(4, cap)
     while True:
-        solver = _Solver(inst, weighted, gaps + 2)
+        solver = _Solver(win, weighted, gaps + 2)
         vals = solver.values()
         for g in range(checked + 1, gaps + 1):
             if vals[g + 2] >= threshold:

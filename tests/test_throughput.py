@@ -4,13 +4,15 @@ import bisect
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gapsched.core
 from gapsched import throughput
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
 from gapsched.errors import GapSchedError, InfeasibleError
-from gapsched.oracle import oracle_max_throughput, oracle_min_gaps_throughput
+from gapsched.oracle import (oracle_max_throughput, oracle_min_gaps_throughput,
+                             oracle_solve)
 from gapsched.throughput import (
     edf_max_throughput,
     max_throughput,
@@ -49,7 +51,7 @@ def tight_chain(k, weight=1):
 
 def naive_canon(jobs, k, u, v):
     """The canonical window of (k, u, v) over deadline-sorted ``jobs`` by
-    rescanning them, in the form ``_Solver._canon`` gives: k' = -1 for an
+    rescanning them, in the form ``_Windows._canon`` gives: k' = -1 for an
     empty window, 0 for one holding none of the first k jobs (u' and v'
     then unused)."""
     if u > v:
@@ -134,6 +136,67 @@ def record_budgets(monkeypatch):
 
     monkeypatch.setattr(throughput, "_Solver", Recording)
     return budgets
+
+
+def record_discoveries(monkeypatch):
+    """Instances whose windows were discovered, in order."""
+    found = []
+
+    class Counting(throughput._Windows):
+        def __init__(self, inst):
+            found.append(inst)
+            super().__init__(inst)
+
+    monkeypatch.setattr(throughput, "_Windows", Counting)
+    return found
+
+
+@pytest.fixture
+def cold():
+    """Drops the retained window structure now and on each call, so the
+    next solve discovers its windows instead of hitting an earlier test's."""
+    def clear():
+        throughput._last = None
+    clear()
+    return clear
+
+
+def sweep(inst, before=lambda: None):
+    """Values and witnesses of ``max_throughput`` at budgets 0-3, weighted
+    and not, and of ``min_gaps_for_throughput`` at every reachable count,
+    calling ``before`` ahead of each solve."""
+    out = []
+    for weighted in (False, True):
+        for g in range(4):
+            before()
+            value, sched = max_throughput(inst, g, weighted)
+            out.append((value, sched.assignment))
+    for m in range(1, edf_max_throughput(inst) + 1):
+        before()
+        g, sched = min_gaps_for_throughput(inst, m)
+        out.append((g, sched.assignment))
+    return out
+
+
+def refusal_peaks(monkeypatch, refused, before):
+    """Traced peaks of ``max_throughput`` at budget 3 on a planted instance
+    refused under a 1000-byte cap, naming ``refused``, and uncapped;
+    ``before`` runs ahead of each traced solve."""
+    inst = planted_normalized(random.Random(5), 24, 60, 24)
+    max_throughput(inst, 3)  # lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        before()
+        max_throughput(inst, 3)
+        full = tracemalloc.get_traced_memory()[1]
+        before()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
+        with pytest.raises(GapSchedError, match=f"{refused} .* above the cap of 1000"):
+            max_throughput(inst, 3)
+        return tracemalloc.get_traced_memory()[1], full
+    finally:
+        tracemalloc.stop()
 
 
 class TestMaxThroughput:
@@ -260,23 +323,31 @@ class TestGuards:
             with pytest.raises(GapSchedError, match="2\\*\\*62"):
                 max_throughput(inst, 0)
 
-    def test_cap_refuses_before_allocating(self, monkeypatch):
+    def test_cap_refuses_before_allocating(self, monkeypatch, cold):
         # An uncapped solve peaks near 1.5 MB; the refusal comes after the
-        # first level's keys, about 20 kB.
-        inst = planted_normalized(random.Random(5), 24, 60, 24)
-        max_throughput(inst, 3)  # lazy imports happen outside the trace
-        tracemalloc.start()
-        try:
-            max_throughput(inst, 3)
-            full = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
-            with pytest.raises(GapSchedError, match="above the cap of 1000"):
-                max_throughput(inst, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # first level's keys, about 20 kB.  Both solves start cold, so
+        # discovery's guards are the ones tried.
+        peak, full = refusal_peaks(monkeypatch, "windows", cold)
         assert peak < full // 20, (peak, full)
+
+    def test_cap_refuses_values_on_a_hit(self, monkeypatch):
+        # The windows are retained; the values table depends on the budget,
+        # so the fill checks it before allocating.
+        peak, full = refusal_peaks(monkeypatch, "values", lambda: None)
+        assert peak < full // 20, (peak, full)
+
+    @pytest.mark.parametrize("solve, expect", [
+        (lambda inst: max_throughput(inst, 1, weighted=True), 4),
+        (lambda inst: min_gaps_for_throughput(inst, 4, weighted=True), 1),
+        (lambda inst: oracle_solve(inst, "max_throughput", gaps=1, weighted=True), 4),
+    ], ids=["max_throughput", "min_gaps_for_throughput", "oracle_solve"])
+    def test_fractional_weights_rejected(self, solve, expect):
+        # int64 tables would floor 1.5 and 2.5: a failed certificate, a
+        # false "unreachable" and a bare AssertionError respectively.
+        with pytest.raises(ValueError, match="not an integer"):
+            solve(Instance((Job(0, 0, 0, 1.5), Job(1, 5, 5, 2.5))))
+        # Integral types other than int still pass.
+        assert solve(Instance((Job(0, 0, 0, 1), Job(1, 5, 5, np.int64(3)))))[0] == expect
 
 
 class TestEdfMaxThroughput:
@@ -380,11 +451,13 @@ class TestBudgetGrowth:
                 if k <= 8:
                     assert g == oracle_min_gaps_throughput(inst, m)[0]
 
-    def test_growth_doubles_up_to_the_cap(self, monkeypatch):
+    def test_growth_doubles_up_to_the_cap(self, monkeypatch, cold):
         budgets = record_budgets(monkeypatch)
+        found = record_discoveries(monkeypatch)
         assert min_gaps_for_throughput(tight_chain(10), 10)[0] == 9
         assert budgets[-1] == 9
         assert all(b < c <= 2 * b for b, c in zip(budgets, budgets[1:]))
+        assert len(found) == 1  # every doubling shares one structure
 
     def test_weighted_unreachable_stops_at_the_cap(self, monkeypatch):
         # The collapsed job can never run, so the total weight is out of
@@ -399,8 +472,9 @@ class TestBudgetGrowth:
         rng = random.Random(68)
         for trial in range(40):
             inst = random_normalized(rng, rng.randint(1, 9), 16, weights=True)
-            small = throughput._Solver(inst, True, 3)
-            large = throughput._Solver(inst, True, len(inst.jobs) + 4)
+            win = throughput._windows(inst)
+            small = throughput._Solver(win, True, 3)
+            large = throughput._Solver(win, True, len(inst.jobs) + 4)
             assert small.values() == large.values()[:4]
             for g in range(4):
                 if small.values()[g] >= 0:
@@ -415,7 +489,7 @@ class TestBudgetGrowth:
                 continue
             budget = len(inst.jobs) + 1
             values, witnesses = reference_dp(inst, weighted, budget)
-            solver = throughput._Solver(inst, weighted, budget)
+            solver = throughput._Solver(throughput._windows(inst), weighted, budget)
             assert solver.values() == values, inst
             for g, want in witnesses.items():
                 assert solver.witness(g) == want, (inst, g)
@@ -435,7 +509,7 @@ class TestCanonicalWindows:
         # Every window the discovery pass canonicalizes, one by one, against
         # a rescan of the jobs.
         rng = random.Random(67)
-        canon = throughput._Solver._canon
+        canon = throughput._Windows._canon
         calls = []
 
         def recording(self, k, u, v):
@@ -443,7 +517,7 @@ class TestCanonicalWindows:
             calls.append((k, u, v, got))
             return got
 
-        monkeypatch.setattr(throughput._Solver, "_canon", recording)
+        monkeypatch.setattr(throughput._Windows, "_canon", recording)
         for trial in range(60):
             inst = random_normalized(rng, rng.randint(1, 12), 30)
             if trial % 3 == 0:  # collapsed jobs: released after their deadline
@@ -451,12 +525,62 @@ class TestCanonicalWindows:
                 inst = Instance(inst.jobs + (Job(98, rng.choice(free), -2),
                                              Job(99, 40, -1)))
             calls.clear()
-            solver = throughput._Solver(inst, False, 3)
+            win = throughput._Windows(inst)  # discovers, whatever is retained
             assert calls
             for k, us, vs, got in calls:
                 for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-                    want = naive_canon(solver.jobs, k, u, v)
+                    want = naive_canon(win.jobs, k, u, v)
                     cell = tuple(int(x[i]) for x in got)
                     if want[0] <= 0:  # a base window: only its kind counts
                         cell, want = cell[:1], want[:1]
                     assert cell == want, (inst, k, u, v)
+
+
+@pytest.mark.usefixtures("cold")
+class TestSharedWindows:
+    def test_one_discovery_per_instance(self, monkeypatch):
+        inst = planted_normalized(random.Random(31), 12, 30, 12)
+        found = record_discoveries(monkeypatch)
+        answers = sweep(inst)
+        assert found == [inst]
+        assert len(answers) > 8  # 8 max_throughput and some min_gaps calls
+
+    def test_interleaved_instances_match_cold_answers(self, cold):
+        rng = random.Random(72)
+        for trial in range(15):
+            a = random_normalized(rng, rng.randint(1, 8), 14, weights=True)
+            b = random_normalized(rng, rng.randint(1, 8), 14, weights=True)
+            want_a, want_b = sweep(a, cold), sweep(b, cold)
+            assert (sweep(a), sweep(b), sweep(a)) == (want_a, want_b, want_a), (a, b)
+
+    def test_weights_alone_do_not_share_answers(self, monkeypatch):
+        light = tight_chain(4, weight=1)
+        heavy = Instance(tuple(Job(j.id, j.release, j.deadline, 5 - j.id)
+                               for j in light.jobs))
+        found = record_discoveries(monkeypatch)
+        for inst in (light, heavy, light, heavy):
+            for g in range(3):
+                value, sched = max_throughput(inst, g, weighted=True)
+                assert value == oracle_max_throughput(inst, g, weighted=True)[0]
+                assert value == sum(inst.job(j).weight for j in sched.assignment)
+        assert found == [light, heavy, light, heavy]
+
+    @pytest.mark.parametrize("cap, far, error", [(10**4, (), "windows"),
+                                                 (None, (2**62,), "2\\*\\*62")])
+    def test_failed_discovery_keeps_no_entry(self, monkeypatch, cap, far, error):
+        # Another instance's discovery fails midway (at the windows cap) or
+        # at its first guard; the entry it replaced is gone, not restored.
+        inst = planted_normalized(random.Random(5), 24, 60, 24)
+        want = max_throughput(inst, 3)
+        bad = Instance(tuple(Job(j.id, j.release + 1, j.deadline + 1) for j in inst.jobs)
+                       + tuple(Job(99 + i, x, x) for i, x in enumerate(far)))
+        if cap:
+            monkeypatch.setattr(gapsched.core, "TABLE_CAP", cap)
+        with pytest.raises(GapSchedError, match=error):
+            max_throughput(bad, 3)
+        assert throughput._last is None
+        monkeypatch.undo()
+        found = record_discoveries(monkeypatch)
+        got = max_throughput(inst, 3)
+        assert found == [inst]
+        assert (got[0], got[1].assignment) == (want[0], want[1].assignment)
