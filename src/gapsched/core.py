@@ -19,6 +19,10 @@ from .errors import GapSchedError, InfeasibleError
 
 JobId = str | int
 
+# What counts as an integer coordinate or weight.  int is listed first
+# because the abstract class alone is slow to check.
+INTEGER = (int, numbers.Integral)
+
 
 @dataclass(frozen=True)
 class Job:
@@ -28,9 +32,13 @@ class Job:
     weight: int = 1
 
     def __post_init__(self):
-        # The DPs and oracles sum weights in int64 tables.  (int is listed
-        # first because the abstract class alone is slow to check.)
-        if not isinstance(self.weight, (int, numbers.Integral)):
+        # Slots are integers, and the DPs and oracles sum weights in int64
+        # tables.
+        if not isinstance(self.release, INTEGER):
+            raise ValueError(f"job {self.id}: release {self.release!r} is not an integer")
+        if self.deadline is not None and not isinstance(self.deadline, INTEGER):
+            raise ValueError(f"job {self.id}: deadline {self.deadline!r} is not an integer")
+        if not isinstance(self.weight, INTEGER):
             raise ValueError(f"job {self.id}: weight {self.weight!r} is not an integer")
         if self.weight < 0:
             raise ValueError(f"job {self.id}: negative weight")

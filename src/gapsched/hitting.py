@@ -17,6 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import INTEGER
 from .errors import GapSchedError, InfeasibleError
 from .xy_select import select_kth
 
@@ -29,8 +30,17 @@ class Interval:
     weight: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.start, INTEGER):
+            raise ValueError(f"interval {self.id}: start {self.start!r} is not an integer")
+        if not isinstance(self.end, INTEGER):
+            raise ValueError(f"interval {self.id}: end {self.end!r} is not an integer")
         if self.end < self.start:
             raise ValueError(f"interval {self.id}: end < start")
+        # The weighted DPs assume hitting more never weighs less.
+        if not isinstance(self.weight, INTEGER):
+            raise ValueError(f"interval {self.id}: weight {self.weight!r} is not an integer")
+        if self.weight < 0:
+            raise ValueError(f"interval {self.id}: negative weight")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Exhaustive reference solvers: ground truth for every objective.
 
-Values come from a suffix DP over (slot, scheduled-subset) states, which
-enumerates every injective assignment implicitly; `enumerate_schedules`
-below walks them explicitly and is used to cross-check the DP itself on
-tiny inputs.  Witness schedules are rebuilt by a deterministic greedy
-walk over the tables (busy slots as early as possible, jobs by deadline).
+Deadline objectives take their values from a suffix DP over
+(slot, scheduled-subset) states, which enumerates every injective
+assignment implicitly.  Release-only flow objectives place jobs in
+release order and share one bottom-up table over (job, slot, gaps left).
+Every table is filled without recursion, and witness schedules are
+rebuilt by a deterministic forward walk over it (busy slots as early as
+possible, jobs by deadline; flow jobs at their first optimal slot).  The
+tests cross-check all of them against literal enumeration on tiny inputs.
 
 Sizes are capped: at most DEFAULT_JOB_CAP jobs over a horizon of at most
 DEFAULT_SLOT_CAP slots, beyond which OracleCapError is raised.
@@ -12,11 +15,9 @@ DEFAULT_SLOT_CAP slots, beyond which OracleCapError is raised.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .core import Instance, Job, Schedule, edf_schedule_busy_set
+from .core import Instance, Schedule, edf_schedule_busy_set
 from .errors import GapSchedError, InfeasibleError, OracleCapError
 
 _INF = 2**30
@@ -111,9 +112,17 @@ def _walk_gaps(dp: _DeadlineDP, tables, maximize: bool) -> tuple[int, ...]:
             mask |= 1 << chosen
             prev = 1
         else:
-            assert tables[s + 1][mask][0] == target
+            if tables[s + 1][mask][0] != target:
+                raise GapSchedError("gap oracle walk failed")
             prev = 0
     return tuple(busy)
+
+
+def _busy_schedule(inst: Instance, busy: tuple[int, ...]) -> Schedule:
+    sched = edf_schedule_busy_set(inst, busy)
+    if sched is None:
+        raise GapSchedError(f"oracle busy set {busy} admits no schedule")
+    return sched
 
 
 def _solve_gap_objective(inst: Instance, maximize: bool):
@@ -124,10 +133,7 @@ def _solve_gap_objective(inst: Instance, maximize: bool):
     value = int(tables[0][0][0])
     if abs(value) >= _INF:
         raise InfeasibleError("no full schedule exists")
-    busy = _walk_gaps(dp, tables, maximize)
-    sched = edf_schedule_busy_set(inst, busy)
-    assert sched is not None
-    return value, sched
+    return value, _busy_schedule(inst, _walk_gaps(dp, tables, maximize))
 
 
 def oracle_min_gaps(inst: Instance):
@@ -195,11 +201,10 @@ def oracle_min_max_gap(inst: Instance):
             run = 1
         else:
             nrun = 0 if run == 0 else min(run + 1, runs)
-            assert tables[s + 1][mask][nrun] == target
+            if tables[s + 1][mask][nrun] != target:
+                raise GapSchedError("separation oracle walk failed")
             run = nrun
-    sched = edf_schedule_busy_set(inst, tuple(busy))
-    assert sched is not None
-    return value, sched
+    return value, _busy_schedule(inst, tuple(busy))
 
 
 def _throughput_tables(dp: _DeadlineDP, weights, gcap: int):
@@ -253,7 +258,8 @@ def _walk_throughput(dp: _DeadlineDP, tables, weights, g: int) -> dict:
             mask |= 1 << chosen
             prev = 1
         else:
-            assert tables[s + 1][mask][0][budget] == target
+            if tables[s + 1][mask][0][budget] != target:
+                raise GapSchedError("throughput oracle walk failed")
             prev = 0
     return assignment
 
@@ -290,63 +296,67 @@ def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
 # ---------------------------------------------------------------------------
 # Release-only (flow) problems: jobs go in release order; slot universe is
 # [min release, max release + n], which any optimal schedule fits (blocks
-# end at releases, shifted right at most n).
+# end at releases, shifted right at most n).  One bottom-up table serves
+# total flow (combine = add) and max flow (combine = maximum):
+# cost[i][s, g] is the least combined flow of jobs i.. when job i runs at
+# slot s with g gaps left for the jobs after it.
 
-def _flow_setup(releases):
-    rs = sorted(releases)
-    n = len(rs)
-    if n:
-        _check_caps(n, rs[-1] - rs[0] + 1)
-    limit = (rs[-1] + n) if n else 0
-    return rs, n, limit
-
-
-def _flow_schedule(inst: Instance, slots) -> Schedule:
+def _solve_flow(inst: Instance, gaps: int, combine, limit=None):
+    """Least combined flow within `gaps` gaps, with its witness; `limit`
+    is the last slot of the universe (default: max release + n)."""
+    if gaps < 0:
+        raise GapSchedError("gap budget must be non-negative")
     jobs = inst.by_release()
-    return Schedule(inst, {j.id: t for j, t in zip(jobs, slots)})
-
-
-def oracle_min_total_flow(inst: Instance, gaps: int, _limit_override=None):
-    rs, n, limit = _flow_setup([j.release for j in inst.jobs])
-    if _limit_override is not None:
-        limit = _limit_override
+    n = len(jobs)
     if n == 0:
         return 0, Schedule(inst, {})
+    rs = [j.release for j in jobs]
+    _check_caps(n, rs[-1] - rs[0] + 1)
+    slots = np.arange(rs[0], (rs[-1] + n if limit is None else limit) + 1)
+    gcap = min(gaps, n - 1)
+    flows = [np.where(slots >= r, slots - r, _INF)[:, None] for r in rs]
+    tables = [np.repeat(flows[-1], gcap + 1, axis=1)]
+    for flow in reversed(flows[:-1]):
+        nxt = tables[-1]
+        # The next job runs right after, at no gap cost, or after one gap
+        # at any slot from s + 2 on (slots before its release cost _INF).
+        rest = np.full_like(nxt, _INF)
+        rest[:-1] = nxt[1:]
+        later = np.minimum.accumulate(nxt[::-1], axis=0)[::-1]
+        rest[:-2, 1:] = np.minimum(rest[:-2, 1:], later[2:, :-1])
+        tables.append(combine(flow, rest))
+    tables.reverse()
 
-    @lru_cache(maxsize=None)
-    def rec(i, last, g):
-        if i == n:
-            return 0
-        best = _INF
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, limit + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            if used > g:
-                break
-            sub = rec(i + 1, s, g - used)
-            if sub < _INF:
-                best = min(best, s - rs[i] + sub)
-        return best
-
-    value = rec(0, None, gaps)
-    slots = []
-    i, last, g = 0, None, gaps
-    remaining = value
-    while i < n:
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, limit + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            if used > g:
-                break
-            if s - rs[i] + rec(i + 1, s, g - used) == remaining:
-                slots.append(s)
-                remaining -= s - rs[i]
-                i, last, g = i + 1, s, g - used
-                break
+    # Walk forward, taking the first slot whose completion keeps the
+    # combined flow within the optimum.
+    value = int(tables[0][:, gcap].min())
+    acc, g, prev, assignment = 0, gcap, None, {}
+    for job, table in zip(jobs, tables):
+        if prev is None:
+            cand = table[:, g]
         else:
-            raise AssertionError("flow oracle walk failed")
-    rec.cache_clear()
-    return value, _flow_schedule(inst, slots)
+            cand = np.full(len(slots), _INF)
+            cand[prev + 1:prev + 2] = table[prev + 1:prev + 2, g]
+            if g:
+                cand[prev + 2:] = table[prev + 2:, g - 1]
+        fits = np.flatnonzero(combine(acc, cand) <= value)
+        if not fits.size:
+            raise GapSchedError("flow oracle walk failed")
+        s = int(fits[0])
+        if prev is not None and s > prev + 1:
+            g -= 1
+        assignment[job.id] = int(slots[s])
+        acc = combine(acc, assignment[job.id] - job.release)
+        prev = s
+    return value, Schedule(inst, assignment)
+
+
+def oracle_min_total_flow(inst: Instance, gaps: int):
+    return _solve_flow(inst, gaps, np.add)
+
+
+def oracle_min_max_flow(inst: Instance, gaps: int):
+    return _solve_flow(inst, gaps, np.maximum)
 
 
 def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
@@ -367,117 +377,18 @@ def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
 def oracle_min_gaps_max_flow(inst: Instance, flow_bound: int):
     if flow_bound < 0:
         raise GapSchedError("flow bound must be non-negative")
-    rs, n, limit = _flow_setup([j.release for j in inst.jobs])
-    if n == 0:
-        return 0, Schedule(inst, {})
-
-    @lru_cache(maxsize=None)
-    def rec(i, last):
-        if i == n:
-            return 0
-        best = _INF
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, rs[i] + flow_bound + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            best = min(best, used + rec(i + 1, s))
-        return best
-
-    value = rec(0, None)
-    if value >= _INF:
-        tentative = rs[0]
-        bad = 0
-        for i in range(n):
-            tentative = rs[i] if i == 0 else max(rs[i], tentative + 1)
-            if tentative > rs[i] + flow_bound:
-                bad = i
-                break
-        raise InfeasibleError(
-            f"flow bound {flow_bound} unattainable", witness=bad)
-    slots = []
-    i, last = 0, None
-    remaining = value
-    while i < n:
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, rs[i] + flow_bound + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            if used + rec(i + 1, s) == remaining:
-                slots.append(s)
-                remaining -= used
-                i, last = i + 1, s
-                break
-        else:
-            raise AssertionError("flow oracle walk failed")
-    rec.cache_clear()
-    return value, _flow_schedule(inst, slots)
-
-
-def oracle_min_max_flow(inst: Instance, gaps: int, _limit_override=None):
-    if gaps < 0:
-        raise GapSchedError("gap budget must be non-negative")
-    rs, n, limit = _flow_setup([j.release for j in inst.jobs])
-    if _limit_override is not None:
-        limit = _limit_override
-    if n == 0:
-        return 0, Schedule(inst, {})
-
-    @lru_cache(maxsize=None)
-    def rec(i, last, g):
-        if i == n:
-            return 0
-        best = _INF
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, limit + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            if used > g:
-                break
-            best = min(best, max(s - rs[i], rec(i + 1, s, g - used)))
-        return best
-
-    value = rec(0, None, gaps)
-    slots = []
-    i, last, g = 0, None, gaps
-    while i < n:
-        start = rs[i] if last is None else max(rs[i], last + 1)
-        for s in range(start, limit + 1):
-            used = 1 if (last is not None and s > last + 1) else 0
-            if used > g:
-                break
-            if max(s - rs[i], rec(i + 1, s, g - used)) <= value:
-                slots.append(s)
-                i, last, g = i + 1, s, g - used
-                break
-        else:
-            raise AssertionError("flow oracle walk failed")
-    rec.cache_clear()
-    return value, _flow_schedule(inst, slots)
-
-
-# ---------------------------------------------------------------------------
-# Literal enumeration, for cross-checking the DPs on tiny inputs.
-
-def enumerate_schedules(inst: Instance, full: bool = True, slot_limit=None):
-    """Yield every (partial or full) injective assignment as a dict."""
-    jobs = list(inst.jobs)
-    n = len(jobs)
-
-    def windows(j: Job):
-        hi = j.deadline if j.deadline is not None else slot_limit
-        return range(j.release, hi + 1)
-
-    def go(i, used, acc):
-        if i == n:
-            yield dict(acc)
-            return
-        j = jobs[i]
-        if not full:
-            yield from go(i + 1, used, acc)
-        for t in windows(j):
-            if t not in used:
-                acc[j.id] = t
-                yield from go(i + 1, used | {t}, acc)
-                del acc[j.id]
-
-    yield from go(0, frozenset(), {})
+    for g in range(max(len(inst.jobs), 1)):
+        value, sched = oracle_min_max_flow(inst, g)
+        if value <= flow_bound:
+            return g, sched
+    # Left-packing starts every job as early as possible, so the first job
+    # it starts past the bound witnesses infeasibility.
+    packed = None
+    for bad, r in enumerate(sorted(j.release for j in inst.jobs)):
+        packed = r if packed is None else max(r, packed + 1)
+        if packed - r > flow_bound:
+            break
+    raise InfeasibleError(f"flow bound {flow_bound} unattainable", witness=bad)
 
 
 def oracle_solve(inst: Instance, objective: str, *, gaps=None,

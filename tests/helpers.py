@@ -82,6 +82,21 @@ def all_window_multisets(n: int, horizon: int, step: int = 1):
     yield from itertools.combinations_with_replacement(windows, n)
 
 
+def enumerate_schedules(inst: Instance, full: bool = True, slot_limit=None):
+    """Yield every (partial or full) injective assignment as a dict.
+
+    A job without a deadline may run up to ``slot_limit``; with
+    ``full=False`` each job may also stay unscheduled."""
+    choices = []
+    for j in inst.jobs:
+        hi = j.deadline if j.deadline is not None else slot_limit
+        choices.append(([] if full else [None]) + list(range(j.release, hi + 1)))
+    for slots in itertools.product(*choices):
+        taken = [t for t in slots if t is not None]
+        if len(set(taken)) == len(taken):
+            yield {j.id: t for j, t in zip(inst.jobs, slots) if t is not None}
+
+
 def brute_force_value(schedules, score, best=min):
     vals = [score(s) for s in schedules]
     return best(vals) if vals else None

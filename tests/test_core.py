@@ -4,8 +4,10 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gapsched import core
@@ -25,6 +27,7 @@ from gapsched.errors import GapSchedError
 
 from helpers import (
     all_window_multisets,
+    enumerate_schedules,
     make_instance,
     random_raw_windows,
     random_windows,
@@ -55,6 +58,19 @@ class TestInstance:
     def test_by_release_orders_ties_by_deadline(self):
         inst = make_instance([(-2, 0), (-2, -1)])
         assert [j.id for j in inst.by_release()] == [1, 0]
+
+    @pytest.mark.parametrize("release, deadline", [
+        (0, 0.5), (0.5, 3), (Fraction(1, 2), None), (3.0, 3)])
+    def test_fractional_coordinates_rejected(self, release, deadline):
+        # The solvers index integer slots: on Job(0, 0, 0.5), Job(1, 3, 3)
+        # min_gaps raised a bare TypeError and min_max_gap a failed
+        # certificate.
+        with pytest.raises(ValueError, match="not an integer"):
+            Job(0, release, deadline)
+
+    def test_integral_types_accepted(self):
+        inst = Instance((Job(0, np.int64(0), np.int32(1)), Job(1, 3, 3), Job(2, 4)))
+        assert [j.release for j in inst.by_release()] == [0, 3, 4]
 
 
 class TestNormalizeDistinct:
@@ -101,8 +117,6 @@ class TestNormalizeDistinct:
     def test_busy_slot_sets_preserved(self):
         """The achievable busy-slot sets are in bijection before and after
         normalization (modulo removed jobs)."""
-        from gapsched.oracle import enumerate_schedules
-
         rng = random.Random(13)
         checked = 0
         while checked < 60:

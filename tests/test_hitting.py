@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapsched.errors import GapSchedError, InfeasibleError
@@ -94,6 +95,28 @@ class TestDistinctIds:
     def test_repeated_id_refused(self, solve):
         with pytest.raises(GapSchedError, match="distinct"):
             solve([Interval(0, 0, 0), Interval(0, 5, 5)])
+
+
+class TestIntervalFields:
+    @pytest.mark.parametrize("start, end", [(0.5, 1.5), (0, 2.5), (Fraction(1, 2), 1)])
+    def test_fractional_endpoints_rejected(self, start, end):
+        # min_max_gap_cont([Interval(0, 0.5, 1.5), Interval(1, 3, 3)]) used
+        # to report its bound as not viable; the optimum there is 3/2.
+        with pytest.raises(ValueError, match="not an integer"):
+            Interval(0, start, end)
+
+    @pytest.mark.parametrize("weight", [-4, 0.5])
+    def test_bad_weights_rejected(self, weight):
+        # With weight -4 on the third interval, min_hit_with_throughput(...,
+        # 1, weighted=True) reported "requirement 1 exceeds total -2" though
+        # one point at 1 hits weight 1.
+        with pytest.raises(ValueError, match="weight"):
+            ivs([(0, 1), (3, 3), (3, 5)], [1, 1, weight])
+
+    def test_integral_types_accepted(self):
+        lam, _ = min_max_gap_cont([Interval(0, np.int64(0), np.int64(1)),
+                                   Interval(1, 3, 3)])
+        assert lam == 2
 
 
 class TestGreedyMinHitting:

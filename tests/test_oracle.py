@@ -3,20 +3,21 @@ enumeration of assignments on tiny instances."""
 
 import random
 
+import numpy as np
 import pytest
 
 from gapsched import oracle
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
-from gapsched.errors import InfeasibleError, OracleCapError
+from gapsched.errors import GapSchedError, InfeasibleError, OracleCapError
 from gapsched.oracle import (
-    enumerate_schedules,
     oracle_min_gaps_max_flow,
     oracle_min_max_flow,
     oracle_min_total_flow,
     oracle_solve,
 )
 
-from helpers import make_instance, random_windows, release_instance
+from helpers import (enumerate_schedules, make_instance, random_windows,
+                     release_instance)
 
 
 def stats_of(inst, assignment):
@@ -180,9 +181,26 @@ class TestFlowAgainstEnumeration:
             try:
                 v, sched = oracle_solve(inst, "min_gaps_max_flow", max_flow=f)
                 assert v == best
-                assert stats_of(inst, sched.assignment).max_flow <= f
+                st = stats_of(inst, sched.assignment)
+                assert st.gap_count == v
+                assert st.max_flow <= f
             except InfeasibleError:
                 assert best == 10**9
+
+    def test_max_flow_infeasibility_witness(self):
+        """The witness is the first job, in release order, that
+        left-packing starts past the bound."""
+        with pytest.raises(InfeasibleError) as err:
+            oracle_min_gaps_max_flow(release_instance([0, 0, 0]), 1)
+        assert err.value.witness == 2
+        with pytest.raises(InfeasibleError) as err:
+            oracle_min_gaps_max_flow(release_instance([5, 0, 1, 1, 9]), 0)
+        assert err.value.witness == 2
+
+    def test_negative_gap_budget_refused(self):
+        for fn in (oracle_min_total_flow, oracle_min_max_flow):
+            with pytest.raises(GapSchedError):
+                fn(release_instance([0]), -1)
 
     def test_slot_universe_is_wide_enough(self):
         """Doubling the slot bound never improves the optimum."""
@@ -192,12 +210,10 @@ class TestFlowAgainstEnumeration:
             inst = release_instance(releases)
             wide = max(releases) + 2 * len(releases)
             for g in (0, 1):
-                base, _ = oracle_min_total_flow(inst, g)
-                wide_v, _ = oracle_min_total_flow(inst, g, _limit_override=wide)
-                assert base == wide_v
-                base, _ = oracle_min_max_flow(inst, g)
-                wide_v, _ = oracle_min_max_flow(inst, g, _limit_override=wide)
-                assert base == wide_v
+                for combine in (np.add, np.maximum):
+                    base, _ = oracle._solve_flow(inst, g, combine)
+                    wide_v, _ = oracle._solve_flow(inst, g, combine, limit=wide)
+                    assert base == wide_v
 
 
 class TestOracleInvariances:
@@ -247,9 +263,25 @@ class TestCaps:
         with pytest.raises(OracleCapError):
             oracle_solve(inst, "min_gaps")
 
+    def test_flow_cap(self):
+        with pytest.raises(OracleCapError):
+            oracle_min_total_flow(release_instance([0, 16]), 1)
+
     def test_patched_caps(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_JOB_CAP", 10)
         monkeypatch.setattr(oracle, "DEFAULT_SLOT_CAP", 40)
         inst = make_instance([(0, 30)])
         v, _ = oracle_solve(inst, "min_gaps")
         assert v == 0
+
+
+class TestSelfChecks:
+    """The oracles check their own witnesses with errors that survive
+    ``python -O``."""
+
+    @pytest.mark.parametrize("objective", ["min_gaps", "max_gaps", "min_max_gap"])
+    def test_unschedulable_busy_set(self, monkeypatch, objective):
+        monkeypatch.setattr(oracle, "edf_schedule_busy_set", lambda inst, busy: None)
+        inst = make_instance([(0, 2), (1, 3)])
+        with pytest.raises(GapSchedError, match="admits no schedule"):
+            oracle_solve(inst, objective)
