@@ -172,6 +172,8 @@ def _hit_witness(ivs, best, prev, b, g) -> HittingSet:
 def max_hit_budget(intervals, budget: int, weighted: bool = False):
     """Maximum number (or weight) of intervals hit by at most ``budget``
     points; witness points are interval ends."""
+    if not isinstance(budget, INTEGER):
+        raise GapSchedError(f"point budget {budget!r} is not an integer")
     if budget <= 0:
         raise GapSchedError(f"point budget must be positive, got {budget}")
     ivs = _by_deadline(intervals)
@@ -331,6 +333,8 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
     As in ``min_points_flow_bound``, representatives are keyed by rank in
     sorted release order, not by input position.
     """
+    if not isinstance(budget, INTEGER):
+        raise GapSchedError(f"point budget {budget!r} is not an integer")
     if budget <= 0:
         raise GapSchedError(f"point budget must be positive, got {budget}")
     rs = sorted(releases)

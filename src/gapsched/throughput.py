@@ -26,9 +26,14 @@ every cell's candidate slots, and the canonical form of its children --
 skip (k-1, u, v), and for each slot t left (k-1, u, t-1) and right
 (k-1, t+1, v).  The fill then walks the levels upwards; a level's
 (cell, slot) pairs are gathered in blocks of about 1 MiB and combined by
-max-plus convolution, one whole-array step per h.  An infeasible entry is
--2**62, so it never combines into a feasible one while the total weight
-stays below 2**62; coordinates must lie strictly inside +-2**62 too.
+max-plus convolution, one whole-array step per h.  The value table is
+budget-major, one row of cells per budget, so every step runs along a
+contiguous row of pairs rather than along a budget vector of at most a
+few entries.  The pairs are gathered with ``take(..., axis=1)``, which
+keeps that layout; ``val[:, rows]`` would hand back the pair axis
+outermost and strided.  An infeasible entry is -2**62, so it never
+combines into a feasible one while the total weight stays below 2**62;
+coordinates must lie strictly inside +-2**62 too.
 Reconstruction walks down from the top cell with an explicit stack and
 re-derives each choice from the values, so no choice is stored: skip
 wins every tie, then the first slot, then the first left budget h.
@@ -52,16 +57,17 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
-                   require_normalized, require_table_fits)
+from .core import (INTEGER, Constraints, Instance, Schedule, certify,
+                   edf_max_throughput, require_normalized, require_table_fits)
 from .errors import GapSchedError, InfeasibleError
 
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
 _INFEASIBLE = -_LIMIT     # two of them sum to int64's minimum, no lower
-_BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (pairs x budgets) block
+_BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (budgets x pairs) block
 _EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
 
 
@@ -180,19 +186,35 @@ class _Windows:
             return np.where(keys < 0, keys + 2, all_keys.searchsorted(keys) + 2
                             ).astype(np.int32)
 
-        # Per level: k, its first row, the offset of its first slot, where
-        # each cell's pairs start and end, and the child rows: the skip row
-        # of every cell, then the left row of every pair, then the right row.
         self.levels = []
         first = 2
         while levels:
             k, keys, lo, counts, children = levels.pop()
             ends = np.cumsum(counts)
-            self.levels.append((k, first, lo, ends - counts, ends, rows(children)))
-            first += len(keys)
+            busy = np.flatnonzero(counts)
+            ncell, npairs = len(keys), int(ends[-1])
+            r = rows(children)
+            self.levels.append(_Level(k, first, lo, busy, (ends - counts)[busy],
+                                      ends[busy], r[:ncell], r[ncell:ncell + npairs],
+                                      r[ncell + npairs:]))
+            first += ncell
         self.nrows = first
         self.top_row = int(rows(top)[0])
-        self.firsts = [lvl[1] for lvl in self.levels]  # what witness bisects
+        self.firsts = [lvl.first for lvl in self.levels]  # what witness bisects
+
+
+class _Level(NamedTuple):
+    """One level's cells: rows first .. first + len(skip) - 1 of the table."""
+
+    k: int
+    first: int
+    lo: int             # index in ``slots`` of every cell's first slot
+    busy: np.ndarray    # the cells with at least one slot, ascending
+    starts: np.ndarray  # where each busy cell's pairs start
+    ends: np.ndarray    # and end
+    skip: np.ndarray    # row of (k - 1, u, v) for every cell
+    left: np.ndarray    # row of (k - 1, u, t - 1) for every pair
+    right: np.ndarray   # row of (k - 1, t + 1, v) for every pair
 
 
 @dataclass
@@ -213,39 +235,38 @@ class _Solver:
         """Values of all cells, level by level from k = 1 up."""
         g1 = self.budget + 1
         require_table_fits("throughput values", self.win.nrows * g1 * 8)
-        val = np.empty((self.win.nrows, g1), dtype=np.int64)
-        val[_EMPTY_WINDOW] = 0
-        val[_NO_JOB] = 0
-        val[_NO_JOB, 0] = _INFEASIBLE  # an idle window is one gap
+        val = np.empty((g1, self.win.nrows), dtype=np.int64)
+        val[:, _EMPTY_WINDOW] = 0
+        val[:, _NO_JOB] = 0
+        val[0, _NO_JOB] = _INFEASIBLE  # an idle window is one gap
         block = max(1, _BLOCK_BYTES // (8 * g1))
-        for k, first, _, starts, ends, rows in self.win.levels:
-            ncell, npairs = len(ends), int(ends[-1])
-            best = np.full((ncell, g1), _INFEASIBLE, dtype=np.int64)
-            busy = np.flatnonzero(ends - starts)  # the cells with pairs
-            starts, ends = starts[busy], ends[busy]
+        for lvl in self.win.levels:
+            npairs = len(lvl.left)
+            best = np.full((g1, len(lvl.busy)), _INFEASIBLE, dtype=np.int64)
             for s in range(0, npairs, block):
                 e = min(s + block, npairs)
-                lv = val[rows[ncell + s:ncell + e]]
-                rv = val[rows[ncell + npairs + s:ncell + npairs + e]]
-                # most[:, g] = max over h of lv[:, h] + rv[:, g - h]
-                most = lv[:, :1] + rv
+                lv = val.take(lvl.left[s:e], axis=1)
+                rv = val.take(lvl.right[s:e], axis=1)
+                # most[g] = max over h of lv[h] + rv[g - h]
+                most = lv[:1] + rv
                 for h in range(1, g1):
-                    np.maximum(most[:, h:], lv[:, h:h + 1] + rv[:, :g1 - h],
-                               out=most[:, h:])
-                # The cells holding pairs s..e-1 and their segments.
-                c0, c1 = ends.searchsorted((s, e - 1), side="right")
-                hit = busy[c0:c1 + 1]
-                seg = np.maximum(starts[c0:c1 + 1] - s, 0)
-                best[hit] = np.maximum(best[hit], np.maximum.reduceat(most, seg))
-            place = np.where(best >= 0, best + self.weights[k - 1], _INFEASIBLE)
-            val[first:first + ncell] = np.maximum(val[rows[:ncell]], place)
+                    np.maximum(most[h:], lv[h:h + 1] + rv[:g1 - h], out=most[h:])
+                # The busy cells holding pairs s..e-1 and their segments.
+                c0, c1 = lvl.ends.searchsorted((s, e - 1), side="right")
+                seg = np.maximum(lvl.starts[c0:c1 + 1] - s, 0)
+                np.maximum(best[:, c0:c1 + 1], np.maximum.reduceat(most, seg, axis=1),
+                           out=best[:, c0:c1 + 1])
+            place = np.where(best >= 0, best + self.weights[lvl.k - 1], _INFEASIBLE)
+            cells = val.take(lvl.skip, axis=1)
+            cells[:, lvl.busy] = np.maximum(cells[:, lvl.busy], place)
+            val[:, lvl.first:lvl.first + len(lvl.skip)] = cells
         self.val = val
 
     def values(self) -> tuple[int, ...]:
         """Best value at every counted budget <= ``budget`` for the whole
         instance, its window padded one slot past both extremes; -1 marks
         a budget no schedule meets."""
-        return tuple(max(int(x), -1) for x in self.val[self.win.top_row])
+        return tuple(max(int(x), -1) for x in self.val[:, self.win.top_row])
 
     def witness(self, counted_budget: int) -> dict:
         """A schedule attaining ``values()[counted_budget]`` (which must be
@@ -257,22 +278,21 @@ class _Solver:
             row, g = stack.pop()
             if row < 2:
                 continue
-            k, first, lo, starts, ends, rows = win.levels[
-                bisect.bisect_right(win.firsts, row) - 1]
-            c = row - first
-            ncell, npairs = len(ends), int(ends[-1])
-            best = val[row, g]
-            if best == val[rows[c], g]:  # skip wins every tie
-                stack.append((int(rows[c]), g))
+            lvl = win.levels[bisect.bisect_right(win.firsts, row) - 1]
+            c = row - lvl.first
+            best = val[g, row]
+            if best == val[g, lvl.skip[c]]:  # skip wins every tie
+                stack.append((int(lvl.skip[c]), g))
                 continue
-            a, b = int(starts[c]), int(ends[c])
-            left = rows[ncell + a:ncell + b]
-            right = rows[ncell + npairs + a:ncell + npairs + b]
-            # sums[p, h] = left value at h + right value at g - h; the first
-            # match in row order is the first slot, then the first h.
-            sums = val[left, :g + 1] + val[right, g::-1]
-            p, h = divmod(int(np.argmax(sums == best - self.weights[k - 1])), g + 1)
-            out[win.jobs[k - 1].id] = int(win.slots[lo + p])
+            i = int(lvl.busy.searchsorted(c))  # placing needs a slot: c is busy
+            a, b = int(lvl.starts[i]), int(lvl.ends[i])
+            left, right = lvl.left[a:b], lvl.right[a:b]
+            # sums[h, p] = left value at h + right value at g - h; the first
+            # match in (p, h) order is the first slot, then the first h.
+            sums = val[:g + 1].take(left, axis=1) + val[g::-1].take(right, axis=1)
+            p, h = divmod(int(np.argmax((sums == best - self.weights[lvl.k - 1]).T)),
+                          g + 1)
+            out[win.jobs[lvl.k - 1].id] = int(win.slots[lvl.lo + p])
             stack.append((int(right[p]), g - h))
             stack.append((int(left[p]), h))
         return out
@@ -295,6 +315,8 @@ def max_throughput(inst: Instance, gaps: int,
                    weighted: bool = False) -> tuple[int, Schedule]:
     """Best count (or weight) of jobs schedulable with at most ``gaps``
     interior gaps."""
+    if not isinstance(gaps, INTEGER):
+        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
     if gaps < 0:
         raise GapSchedError("gap budget must be non-negative")
     require_normalized(inst)
@@ -328,8 +350,8 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
     cap = len(inst.jobs) - 1
     checked = -1  # interior budgets up to here fall short of the threshold
     # The windows are discovered once, so a doubling costs only a fill.  A
-    # fill at interior budget 4 costs two or three at 0; starting at 1 would
-    # take three fills to get there.
+    # fill at interior budget 4 costs about 1.7 fills at 0 on 24-32 jobs and
+    # 3 on 60-80; starting at 1 would take three fills to get there.
     win = _windows(inst)
     gaps = min(4, cap)
     while True:

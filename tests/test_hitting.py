@@ -191,6 +191,14 @@ class TestMaxHitBudget:
         with pytest.raises(GapSchedError):
             max_hit_budget(ivs([(0, 1)]), 0)
 
+    def test_fractional_budget_rejected(self):
+        # 2.0 used to fail as "can't multiply sequence by non-int".
+        intervals = ivs([(0, 1), (3, 4), (6, 7)])
+        for budget in (2.0, 1.5):
+            with pytest.raises(GapSchedError, match="not an integer"):
+                max_hit_budget(intervals, budget)
+        assert max_hit_budget(intervals, np.int64(2))[0] == 2
+
     def test_matches_brute_force(self):
         rng = random.Random(33)
         for _ in range(40):
@@ -531,6 +539,13 @@ class TestMinMaxFlowCont:
     def test_budget_zero_rejected(self):
         with pytest.raises(GapSchedError):
             min_max_flow_cont([0, 1], 0)
+
+    def test_fractional_budget_rejected(self):
+        # 1.5 used to be answered as if it were 1.
+        for budget in (1.5, 2.0):
+            with pytest.raises(GapSchedError, match="not an integer"):
+                min_max_flow_cont([0, 3, 5], budget)
+        assert min_max_flow_cont([0, 3, 5], np.int64(2))[0] == 2
 
     def test_unsorted_releases_keyed_by_rank(self):
         # Key i is the i-th smallest release, not the i-th input.

@@ -210,6 +210,14 @@ class TestMaxThroughput:
         with pytest.raises(GapSchedError):
             max_throughput(normalized([(0, 1)]), -1)
 
+    @pytest.mark.parametrize("n, gaps", [(6, 1.5), (6, 2.0), (3, 2.5)])
+    def test_fractional_budget_rejected(self, n, gaps):
+        # Six jobs used to raise a bare TypeError; three returned a value.
+        inst = Instance(tuple(Job(i, 3 * i, 3 * i) for i in range(n)))
+        with pytest.raises(GapSchedError, match="not an integer"):
+            max_throughput(inst, gaps)
+        assert max_throughput(inst, np.int64(2)) == max_throughput(inst, 2)
+
     def test_zero_value_is_legal(self):
         inst = Instance((Job(0, 5, 3),))  # collapsed window, nothing fits
         value, sched = max_throughput(inst, 0)
@@ -493,6 +501,31 @@ class TestBudgetGrowth:
             assert solver.values() == values, inst
             for g, want in witnesses.items():
                 assert solver.witness(g) == want, (inst, g)
+
+    def test_cells_straddling_blocks_merge(self, monkeypatch):
+        # With a few pairs per block, a cell's slots span several blocks,
+        # whose partial maxima must merge into one value and one witness.
+        rng = random.Random(72)
+        straddled = 0
+        for trial in range(100):
+            weighted = trial % 2 == 1
+            inst = random_normalized(rng, rng.randint(2, 8), 14, weights=weighted)
+            if not inst.jobs:
+                continue
+            budget = len(inst.jobs) + 1
+            values, witnesses = reference_dp(inst, weighted, budget)
+            win = throughput._windows(inst)
+            default = throughput._Solver(win, weighted, budget)
+            for size in (1, 200):  # one pair per block, then two to six
+                monkeypatch.setattr(throughput, "_BLOCK_BYTES", size)
+                block = max(1, size // (8 * (budget + 1)))
+                straddled += any(len(lvl.left) > block for lvl in win.levels)
+                solver = throughput._Solver(win, weighted, budget)
+                assert solver.values() == default.values() == values, (inst, size)
+                for g, want in witnesses.items():
+                    assert solver.witness(g) == default.witness(g) == want, (inst, g)
+                monkeypatch.undo()
+        assert straddled > 150
 
     def test_duality_at_benchmark_scale(self):
         inst = planted_normalized(random.Random(30), 30, 75, reach=1)
