@@ -9,6 +9,15 @@ Rationals appear only at the API boundary: a gap bound p/q given to
 ``viable`` and the representatives returned.  The separation greedy runs
 on the line scaled by q, where every point it places is an integer, and
 the searches sort the intervals once and then probe that integer greedy.
+
+The point-budget solvers share one column recurrence over the deadlines
+d_0 <= ... <= d_{n-1}.  Row a + 1 of the delta table is the weight that
+d_b hits and d_a does not; row 0 is the weight that d_b hits.  Column g
+holds the most weight hit by at most g points, the last at d_b.  Column 1
+is row 0; then col[b] = max(prev[b], prev[a] + delta[a + 1][b] for a < b).
+No choice is stored: the witness starts at the first b attaining the last
+column's maximum, stays at b while a column repeats the one before it,
+and else steps to the first a whose split gives the value.
 """
 
 from __future__ import annotations
@@ -88,11 +97,11 @@ def greedy_min_hitting(intervals) -> HittingSet:
 
 
 def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
-    """table[a][b] = weight of the intervals hit by d_b but not by d_a.
-
-    That is, intervals i with d_a < r_i <= d_b <= d_i, for deadline-sorted
-    ``ivs``.  One O(n) sweep per row; release events are applied before
-    deadline events at equal coordinates so both inclusions stay sharp.
+    """table[a + 1][b] = weight of the intervals i with d_a < r_i <= d_b <= d_i,
+    for deadline-sorted ``ivs``; row 0 puts a bound below every coordinate
+    in place of d_a.  One O(n) sweep per row; release events are applied
+    before deadline events at equal coordinates so both inclusions stay
+    sharp.
     """
     n = len(ivs)
     coords = sorted({iv.start for iv in ivs} | {iv.end for iv in ivs})
@@ -101,11 +110,10 @@ def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
     for i, iv in enumerate(ivs):
         rel_at.setdefault(iv.start, []).append(i)
         dl_at.setdefault(iv.end, []).append(i)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        bound = ivs[a].end
+    table = [[0] * n for _ in range(n + 1)]
+    bounds = [coords[0] - 1] + [iv.end for iv in ivs]
+    for row, bound in zip(table, bounds):
         active = 0
-        row = table[a]
         for x in coords:
             for i in rel_at.get(x, ()):
                 if ivs[i].start > bound:
@@ -118,47 +126,27 @@ def _delta_table(ivs: list[Interval], w: list[int]) -> list[list[int]]:
     return table
 
 
-def _hit_table(ivs: list[Interval], weights: list[int], budget: int, reach=None):
-    """DP columns best[b][g] = max weight hit by <= g points from the first
-    b+1 deadlines, one of them d_b; plus per-step argmax for witnesses.
-
-    With ``reach``, the fill stops after the first column whose best value
-    reaches it; the later columns stay unfilled.
-    """
-    n = len(ivs)
-    delta = _delta_table(ivs, weights)
-    hits = [sum(weights[i] for i in range(n)
-                if ivs[i].start <= ivs[b].end <= ivs[i].end)
-            for b in range(n)]
-    best = [[0] * (budget + 1) for _ in range(n)]
-    prev = [[None] * (budget + 1) for _ in range(n)]
-    for b in range(n):
-        best[b][1] = hits[b]
-    for g in range(2, budget + 1):
-        if reach is not None and max(row[g - 1] for row in best) >= reach:
-            break
-        for b in range(n):
-            best[b][g] = best[b][g - 1]
-            prev[b][g] = (b, g - 1)
-            for a in range(b):
-                cand = best[a][g - 1] + delta[a][b]
-                if cand > best[b][g]:
-                    best[b][g] = cand
-                    prev[b][g] = (a, g - 1)
-    return best, prev
+def _next_column(delta: list[list[int]], col: list[int]) -> list[int]:
+    """Column g + 1 of the point-budget recurrence from column g."""
+    out = []
+    for b, value in enumerate(col):
+        for a in range(b):
+            cand = col[a] + delta[a + 1][b]
+            if cand > value:
+                value = cand
+        out.append(value)
+    return out
 
 
-def _hit_witness(ivs, best, prev, b, g) -> HittingSet:
+def _hit_witness(ivs, delta, cols) -> HittingSet:
+    b = cols[-1].index(max(cols[-1]))
     points = []
-    while True:
-        step = prev[b][g]
-        if step is None:
+    for g in range(len(cols) - 1, 0, -1):
+        value, prev = cols[g][b], cols[g - 1]
+        if value != prev[b]:
             points.append(b)
-            break
-        a, g2 = step
-        if a != b:
-            points.append(b)
-        b, g = a, g2
+            b = next(a for a in range(b) if prev[a] + delta[a + 1][b] == value)
+    points.append(b)
     points.reverse()
     reps: dict[object, Fraction] = {}
     for b in points:
@@ -180,11 +168,11 @@ def max_hit_budget(intervals, budget: int, weighted: bool = False):
     n = len(ivs)
     if n == 0:
         return 0, HittingSet({})
-    weights = [iv.weight if weighted else 1 for iv in ivs]
-    g = min(budget, n)
-    best, prev = _hit_table(ivs, weights, g)
-    value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
-    return value, _hit_witness(ivs, best, prev, arg, g)
+    delta = _delta_table(ivs, [iv.weight if weighted else 1 for iv in ivs])
+    cols = [delta[0]]
+    while len(cols) < min(budget, n):
+        cols.append(_next_column(delta, cols[-1]))
+    return max(cols[-1]), _hit_witness(ivs, delta, cols)
 
 
 def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
@@ -192,16 +180,16 @@ def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
     if m <= 0:
         return 0, HittingSet({})
     ivs = _by_deadline(intervals)
-    n = len(ivs)
     weights = [iv.weight if weighted else 1 for iv in ivs]
     if m > sum(weights):
         raise InfeasibleError(f"requirement {m} exceeds total {sum(weights)}")
-    best, prev = _hit_table(ivs, weights, n, reach=m)
-    for g in range(1, n + 1):
-        value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
-        if value >= m:
-            return g, _hit_witness(ivs, best, prev, arg, g)
-    raise InfeasibleError(f"requirement {m} unreachable")
+    delta = _delta_table(ivs, weights)
+    cols = [delta[0]]
+    while max(cols[-1]) < m:
+        if len(cols) == len(ivs):  # n points hit every interval
+            raise InfeasibleError(f"requirement {m} unreachable")
+        cols.append(_next_column(delta, cols[-1]))
+    return len(cols), _hit_witness(ivs, delta, cols)
 
 
 class SeparationGreedy:
@@ -307,6 +295,14 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
     return lam, greedy.witness(points, lam.denominator)
 
 
+def _sorted_releases(releases) -> list[int]:
+    rs = sorted(releases)
+    for r in rs:
+        if not isinstance(r, INTEGER):
+            raise GapSchedError(f"release {r!r} is not an integer")
+    return rs
+
+
 def min_points_flow_bound(releases, bound) -> HittingSet:
     """Minimum-cardinality point set covering every release within
     [r, r + bound]; single left-to-right pass.
@@ -316,7 +312,7 @@ def min_points_flow_bound(releases, bound) -> HittingSet:
     """
     if bound < 0:
         raise GapSchedError(f"flow bound must be non-negative, got {bound}")
-    rs = sorted(releases)
+    rs = _sorted_releases(releases)
     reps: dict[object, Fraction] = {}
     last = None
     for i, r in enumerate(rs):
@@ -337,11 +333,10 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
         raise GapSchedError(f"point budget {budget!r} is not an integer")
     if budget <= 0:
         raise GapSchedError(f"point budget must be positive, got {budget}")
-    rs = sorted(releases)
+    rs = _sorted_releases(releases)
     n = len(rs)
     if n == 0:
         return 0, HittingSet({})
-    xs = rs
     ys = sorted(-r for r in rs)
 
     def decide(f: int) -> bool:
@@ -350,9 +345,9 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
     p, q = 1, n * n
     while p < q:
         mid = (p + q) // 2
-        if decide(select_kth(xs, ys, mid)):
+        if decide(select_kth(rs, ys, mid)):
             q = mid
         else:
             p = mid + 1
-    best = select_kth(xs, ys, p)
+    best = select_kth(rs, ys, p)
     return best, min_points_flow_bound(rs, best)

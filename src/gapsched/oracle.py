@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, Schedule, edf_schedule_busy_set
+from .core import INTEGER, Instance, Schedule, edf_schedule_busy_set
 from .errors import GapSchedError, InfeasibleError, OracleCapError
 
 _INF = 2**30
@@ -265,6 +265,8 @@ def _walk_throughput(dp: _DeadlineDP, tables, weights, g: int) -> dict:
 
 
 def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
+    if not isinstance(gaps, INTEGER):
+        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
     if gaps < 0:
         raise GapSchedError("gap budget must be non-negative")
     dp = _DeadlineDP(inst)
@@ -304,6 +306,8 @@ def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
 def _solve_flow(inst: Instance, gaps: int, combine, limit=None):
     """Least combined flow within `gaps` gaps, with its witness; `limit`
     is the last slot of the universe (default: max release + n)."""
+    if not isinstance(gaps, INTEGER):
+        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
     if gaps < 0:
         raise GapSchedError("gap budget must be non-negative")
     jobs = inst.by_release()

@@ -15,8 +15,6 @@ from gapsched.hitting import (
     SeparationGreedy,
     _by_deadline,
     _delta_table,
-    _hit_table,
-    _hit_witness,
     greedy_min_hitting,
     max_hit_budget,
     min_hit_with_throughput,
@@ -154,23 +152,26 @@ def delta_table(intervals):
 class TestDeltaTable:
     def test_disjoint_pair(self):
         d = delta_table(ivs([(0, 1), (3, 4)]))
-        assert d[0][1] == 1
+        assert d == [[1, 1], [0, 1], [0, 0]]
 
     def test_diagonal_zero(self):
         d = delta_table(ivs([(0, 3), (1, 4), (2, 5)]))
-        assert all(d[a][a] == 0 for a in range(3))
+        assert all(d[a + 1][a] == 0 for a in range(3))
 
     def test_matches_triple_loop(self):
+        # Row 0 has no earlier point: it counts every interval d_b hits.
         rng = random.Random(17)
         for _ in range(40):
             intervals = random_intervals(rng, 6, 10)
             order = sorted(intervals, key=lambda iv: (iv.end, iv.start, iv.id))
             d = delta_table(intervals)
-            for a in range(6):
+            assert len(d) == 7
+            for a in range(7):
+                low = order[a - 1].end if a else float("-inf")
                 for b in range(6):
                     expect = sum(
                         1 for iv in order
-                        if order[a].end < iv.start <= order[b].end <= iv.end)
+                        if low < iv.start <= order[b].end <= iv.end)
                     assert d[a][b] == expect
 
 
@@ -256,29 +257,84 @@ class TestMinHitWithThroughput:
             assert len(hs.representatives) >= m
 
 
-def min_hit_full_table(intervals, m):
-    """min_hit_with_throughput's answer read from the table of all n
-    budget columns."""
-    order = _by_deadline(intervals)
-    n = len(order)
-    best, prev = _hit_table(order, [1] * n, n)
-    for g in range(1, n + 1):
-        value, arg = max(((best[b][g], b) for b in range(n)), key=lambda t: t[0])
-        if value >= m:
-            return g, _hit_witness(order, best, prev, arg, g)
-    raise AssertionError("n points hit every interval")
-
-
 class TestMinHitEarlyStop:
-    def test_matches_full_table(self):
+    def test_matches_max_hit_budget(self):
+        # Stopping at the first column that reaches m gives the fewest
+        # points, and the witness max_hit_budget gives at that budget.
         rng = random.Random(57)
         for trial in range(150):
             n = rng.randint(1, 12)
             intervals = (random_shared_intervals(rng, n) if trial % 2
                          else random_intervals(rng, n, 3 * n))
             for m in range(1, n + 1):
-                assert min_hit_with_throughput(intervals, m) == \
-                    min_hit_full_table(intervals, m)
+                g, hs = min_hit_with_throughput(intervals, m)
+                value, witness = max_hit_budget(intervals, g)
+                assert hs == witness and value >= m
+                assert g == 1 or max_hit_budget(intervals, g - 1)[0] < m
+
+
+def reference_hit_dp(intervals, weighted):
+    """The point-budget DP with a stored choice per cell, its newly hit
+    weights counted straight from the definition.  A cell stays at b
+    unless a split is strictly better, and then takes the first best a.
+    Returns (value, witness) for every budget 1..n."""
+    order = _by_deadline(intervals)
+    n = len(order)
+    ends = [iv.end for iv in order]
+    lows = [float("-inf")] + ends
+    gain = [[sum(iv.weight if weighted else 1 for iv in order
+                 if low < iv.start <= ends[b] <= iv.end)
+             for b in range(n)] for low in lows]
+    best = [[None, gain[0][b]] for b in range(n)]
+    prev = [[None, None] for _ in range(n)]
+    for g in range(2, n + 1):
+        for b in range(n):
+            value, arg = best[b][g - 1], b
+            for a in range(b):
+                if best[a][g - 1] + gain[a + 1][b] > value:
+                    value, arg = best[a][g - 1] + gain[a + 1][b], a
+            best[b].append(value)
+            prev[b].append(arg)
+    answers = []
+    for g in range(1, n + 1):
+        value = max(best[b][g] for b in range(n))
+        b = next(b for b in range(n) if best[b][g] == value)
+        points = []
+        for h in range(g, 1, -1):
+            if prev[b][h] != b:
+                points.append(b)
+                b = prev[b][h]
+        points.append(b)
+        reps = {}
+        for b in reversed(points):
+            for iv in order:
+                if iv.id not in reps and iv.start <= ends[b] <= iv.end:
+                    reps[iv.id] = Fraction(ends[b])
+        answers.append((value, HittingSet(reps)))
+    return answers
+
+
+class TestHitReference:
+    def test_matches_stored_choices(self):
+        # Tied splits are common with shared endpoints and zero weights;
+        # the witness must take the same one the stored choices take.
+        rng = random.Random(59)
+        for trial in range(200):
+            n = rng.randint(1, 10)
+            base = (random_shared_intervals(rng, n) if trial % 2
+                    else random_intervals(rng, n, 3 * n))
+            weights = [0 if trial % 5 == 0 else rng.randint(0, 4) for _ in base]
+            intervals = ivs([(iv.start, iv.end) for iv in base], weights)
+            for weighted in (False, True):
+                answers = reference_hit_dp(intervals, weighted)
+                for budget in range(1, n + 2):
+                    assert max_hit_budget(intervals, budget, weighted) == \
+                        answers[min(budget, n) - 1], (intervals, budget)
+                total = sum(weights) if weighted else n
+                for m in range(1, total + 1):
+                    g = next(g for g, (v, _) in enumerate(answers, 1) if v >= m)
+                    assert min_hit_with_throughput(intervals, m, weighted) == \
+                        (g, answers[g - 1][1]), (intervals, m)
 
 
 def viable_reference(intervals, lam):
@@ -546,6 +602,14 @@ class TestMinMaxFlowCont:
             with pytest.raises(GapSchedError, match="not an integer"):
                 min_max_flow_cont([0, 3, 5], budget)
         assert min_max_flow_cont([0, 3, 5], np.int64(2))[0] == 2
+
+    def test_fractional_release_rejected(self):
+        # With two points the optimum for [0, 0.5, 3] is 0.5; 1 was answered.
+        for solve in (lambda rs: min_max_flow_cont(rs, 2),
+                      lambda rs: min_points_flow_bound(rs, 1)):
+            with pytest.raises(GapSchedError, match="0.5 is not an integer"):
+                solve([0, 0.5, 3])
+        assert min_max_flow_cont([0, np.int64(1), 3], 2)[0] == 1
 
     def test_unsorted_releases_keyed_by_rank(self):
         # Key i is the i-th smallest release, not the i-th input.

@@ -275,6 +275,22 @@ class TestCaps:
         assert v == 0
 
 
+class TestGapBudgetType:
+    @pytest.mark.parametrize("objective, inst", [
+        ("max_throughput", make_instance([(3 * i, 3 * i) for i in range(4)])),
+        ("min_total_flow", release_instance([0, 3, 6, 9])),
+        ("min_max_flow", release_instance([0, 3, 6, 9])),
+    ], ids=["throughput", "total_flow", "max_flow"])
+    def test_fractional_budget_refused(self, objective, inst):
+        # 1.5 and 2.0 reached the tables as floats: a bare TypeError or
+        # IndexError instead of GapSchedError.
+        for gaps in (1.5, 2.0):
+            with pytest.raises(GapSchedError, match="not an integer"):
+                oracle_solve(inst, objective, gaps=gaps)
+        assert oracle_solve(inst, objective, gaps=np.int64(2))[0] == \
+            oracle_solve(inst, objective, gaps=2)[0]
+
+
 class TestSelfChecks:
     """The oracles check their own witnesses with errors that survive
     ``python -O``."""
