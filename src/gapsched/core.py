@@ -230,7 +230,7 @@ def require_table_fits(what: str, nbytes: int) -> None:
     """Raise GapSchedError when DP tables of ``nbytes`` bytes, named by
     ``what``, exceed TABLE_CAP bytes (1 GiB); solvers call it before
     allocating them.  min_gaps checks its three tables, max_gaps its
-    choice levels and the throughput DP its slots, windows and values.
+    value levels and the throughput DP its slots, windows and values.
     """
     if nbytes > TABLE_CAP:
         raise GapSchedError(f"{what} would take {nbytes} bytes, above the "

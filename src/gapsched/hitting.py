@@ -23,6 +23,7 @@ and else steps to the first a whose split gives the value.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,8 +309,11 @@ def min_points_flow_bound(releases, bound) -> HittingSet:
     [r, r + bound]; single left-to-right pass.
 
     Representatives are keyed by rank in sorted release order, not by
-    input position: key i covers the i-th smallest release.
+    input position: key i covers the i-th smallest release.  ``bound`` is
+    an integer or a Fraction: a float would round when added to a release.
     """
+    if not isinstance(bound, numbers.Rational):
+        raise GapSchedError(f"flow bound {bound!r} is not rational")
     if bound < 0:
         raise GapSchedError(f"flow bound must be non-negative, got {bound}")
     rs = _sorted_releases(releases)

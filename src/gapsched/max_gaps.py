@@ -17,8 +17,18 @@ and v alone, and t - 1 and t lie in job k's range.  So these ends are
 closed under the fill's reads, and they hold END's slot, where the top
 query ends: no other end is ever read.  Level k fills only the ends up to
 the first one past d_k and copies that column to the later ends: no job
-of the first k can run past d_k, so every later end holds the same value
-and the same choice.
+of the first k can run past d_k, so every later end holds the same value.
+
+One int16 table holds the level being filled; each slot t raises its
+block of cells to the sum of its left and right factors with one maximum,
+and no choice is stored.  After level k only its columns up to that first
+end past d_k are kept.  Every row of level k is constant from that column
+on: the rows it fills by the copy above, the rest because they are level
+k - 1's, constant from an earlier column since deadlines grow with k (and
+level 0 is all ones).  So level j is read at column min(c, width_j - 1).
+The rebuild re-derives each placed job's slot from these values: the
+first slot, in the fill's order, whose split attains the cell's value, so
+a later slot that only ties it never wins.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ from .core import (
     require_normalized,
     require_table_fits,
 )
+from .errors import GapSchedError
 
 
 def _window_ends(jobs: list, span: int) -> list[int]:
@@ -61,16 +72,24 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     ui = {u: i for i, u in enumerate(ugrid)}
     vi = {v: i for i, v in enumerate(vgrid)}
     nu, nv = len(ugrid), len(vgrid)
-    require_table_fits("max_gaps choice levels", (n + 1) * nu * nv * 2)
+    # The stored levels take at most this, and the working table is one more.
+    require_table_fits("max_gaps value levels", (n + 1) * nu * nv * 2)
 
-    # cur[u][v] is the current level k; level 0 is the empty sub-instance:
-    # one all-idle gap.  Only the choices in args are kept for every level.
-    # prefixes[i] holds the sorted releases of the first i jobs.  After job
-    # k runs at t, the right sub-window starts at the first release of the
-    # jobs before k past t, or at the row of the slot just before it.
-    cur = np.ones((nu, nv), dtype=np.int32)
-    args = [None]
+    # cur[u][v] is the current level k, filled in place; level 0 is the
+    # empty sub-instance: one all-idle gap.  A value is at most n + 1 gaps,
+    # and the table cap keeps n below 1000, so int16 holds it and a sum of
+    # two.  levels[k] keeps level k's columns up to its last distinct one,
+    # read through at().  prefixes[i] holds the sorted releases of the
+    # first i jobs.  After job k runs at t, the right sub-window starts at
+    # the first release of the jobs before k past t, or at the row of the
+    # slot just before it.
+    cur = np.ones((nu, nv), dtype=np.int16)
+    levels = [cur[:, :1].copy()]
     prefixes: list[list[int]] = [[]]
+
+    def at(k: int, u: int, v: int) -> int:
+        level = levels[k]
+        return int(level[u, min(v, level.shape[1] - 1)])
 
     def next_release(k: int, t: int) -> int | None:
         rels = prefixes[k - 1]
@@ -80,28 +99,31 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     def right_row(t: int, nxt: int) -> int:
         return ui[nxt] if nxt == t + 1 else ui[nxt - 1]
 
+    def slots(k: int) -> list[int]:
+        """Job k's candidate slots, ascending: another job must run at its
+        release, so those are out."""
+        jk = jobs[k - 1]
+        taken = set(prefixes[k - 1])
+        return [t for t in range(jk.release, min(jk.deadline, jk.release + span) + 1)
+                if t not in taken]
+
     for k in range(1, n + 1):
         jk = jobs[k - 1]
-        prev = cur
-        cur = prev.copy()
-        arg = np.full((nu, nv), -1, dtype=np.int16)
         rows = bisect.bisect_right(ugrid, jk.release)          # u <= r_k
-        tmax = min(jk.deadline, jk.release + span)
-        ucol = np.asarray(ugrid[:rows], dtype=np.int64)
-
         first_col = bisect.bisect_left(vgrid, jk.release)      # v >= r_k
         last_col = bisect.bisect_left(vgrid, jk.deadline + 1)  # v > d_k
         end = min(last_col + 1, nv)
+        ts = slots(k)
+        # Left factors over u, window [u, t - 1], read before this level
+        # overwrites them.  The right factors read rows past r_k, which
+        # this level leaves as they are.
+        lefts = cur[:rows, [vi[t - 1] for t in ts]]
+        lefts = np.where(np.asarray(ugrid[:rows])[:, None] < np.asarray(ts), lefts, 0)
         cur[:rows, first_col:end] = -1
-        prefix_set = set(prefixes[k - 1])
-        for t in range(jk.release, tmax + 1):
-            if t in prefix_set:
-                continue  # another job must run at its release here
+        for i, t in enumerate(ts):
             tcol = vi[t]
-            # left factor over u: window [u, t-1]
-            left = np.where(ucol <= t - 1, prev[:rows, vi[t - 1]], 0)
             # right factor over t <= v <= last_col
-            right = np.empty(end - tcol, dtype=np.int32)
+            right = np.empty(end - tcol, dtype=np.int16)
             right[0] = 0  # v == t: empty right window
             nxt = next_release(k, t)
             if nxt is None:
@@ -109,23 +131,40 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             else:
                 split = vi[nxt] - tcol
                 right[1:split] = 1
-                right[split:] = prev[right_row(t, nxt), tcol + split:end]
-            cand = left[:, None] + right[None, :]
+                right[split:] = cur[right_row(t, nxt), tcol + split:end]
             block = cur[:rows, tcol:end]
-            improved = cand > block
-            block[improved] = cand[improved]
-            arg_block = arg[:rows, tcol:end]
-            arg_block[improved] = t - jk.release
+            np.maximum(block, lefts[:, i:i + 1] + right, out=block)
         cur[:rows, end:] = cur[:rows, last_col:end]
-        arg[:rows, end:] = arg[:rows, last_col:end]
-        args.append(arg)
+        levels.append(cur[:, :end].copy())
         prefixes.append(sorted(prefixes[k - 1] + [jk.release]))
 
     top_u, top_v = ui[jobs[0].release], vi[jobs[-1].release]
-    value = int(cur[top_u][top_v]) - 2
+    value = at(n, top_u, top_v) - 2
 
-    # Rebuild from the choices: each placed job leaves a left window, taken
-    # next, and possibly a right one, taken first (pushed last).
+    def slot(k: int, u: int, v: int) -> int:
+        """The slot job k takes in cell (k, u, v): the first whose split
+        attains the cell's value, as the fill met them."""
+        best = at(k, u, v)
+        vc = min(v, levels[k].shape[1] - 1)
+        for t in slots(k):
+            tcol = vi[t]
+            if tcol > vc:
+                break
+            left = at(k - 1, u, vi[t - 1]) if ugrid[u] < t else 0
+            nxt = next_release(k, t)
+            if tcol == vc:
+                right = 0
+            elif nxt is None or vi[nxt] > vc:
+                right = 1
+            else:
+                right = at(k - 1, right_row(t, nxt), vc)
+            if left + right == best:
+                return t
+        raise GapSchedError(f"no slot of job {jobs[k - 1].id!r} attains "
+                            f"{best} in window [{ugrid[u]}, {vgrid[v]}]")
+
+    # Rebuild: each placed job leaves a left window, taken next, and
+    # possibly a right one, taken first (pushed last).
     assignment: dict = {}
     stack = [(n, top_u, top_v)]
     while stack:
@@ -136,7 +175,7 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
         if not (ugrid[u] <= jk.release <= vgrid[v]):
             stack.append((k - 1, u, v))
             continue
-        t = jk.release + int(args[k][u][v])
+        t = slot(k, u, v)
         assignment[jk.id] = t
         if t - 1 >= ugrid[u]:
             stack.append((k - 1, u, vi[t - 1]))

@@ -40,8 +40,9 @@ wins every tie, then the first slot, then the first left budget h.
 
 Discovery depends on neither budget nor weights, so every fill
 (``_Solver``) on an instance shares its ``_Windows``.  ``_windows`` retains
-the last instance's, which the slot and window ``require_table_fits``
-checks bound, so a sweep over budgets on one instance discovers once.
+the last instance's when its arrays take at most 64 MiB, so a sweep over
+budgets on one instance discovers once, and a large instance leaves
+nothing behind once its call returns.
 
 Budgets are prefix-closed.  A cell's entry at counted budget g combines
 only entries <= g of its sub-cells, ties go to skip, then the first slot
@@ -68,6 +69,7 @@ from .errors import GapSchedError, InfeasibleError
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
 _INFEASIBLE = -_LIMIT     # two of them sum to int64's minimum, no lower
 _BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (budgets x pairs) block
+_KEEP_BYTES = 64 << 20    # the largest windows ``_windows`` keeps after a call
 _EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
 
 
@@ -202,6 +204,11 @@ class _Windows:
         self.top_row = int(rows(top)[0])
         self.firsts = [lvl.first for lvl in self.levels]  # what witness bisects
 
+    def nbytes(self) -> int:
+        """Bytes held in the structure's arrays, its levels' included."""
+        arrays = list(vars(self).values()) + [a for lvl in self.levels for a in lvl]
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
 
 class _Level(NamedTuple):
     """One level's cells: rows first .. first + len(skip) - 1 of the table."""
@@ -302,12 +309,15 @@ _last = None  # (instance, its _Windows): the one entry _windows keeps
 
 
 def _windows(inst: Instance) -> _Windows:
-    """The windows of ``inst``, reused while calls stay on one instance."""
+    """The windows of ``inst``, reused while calls stay on one instance
+    whose windows take at most _KEEP_BYTES."""
     global _last
     hit = _last
     if hit is None or hit[0] != inst:
         hit = _last = None  # never hold two structures at once
-        hit = _last = inst, _Windows(inst)
+        hit = inst, _Windows(inst)
+        if hit[1].nbytes() <= _KEEP_BYTES:
+            _last = hit
     return hit[1]
 
 

@@ -571,6 +571,16 @@ class TestFlowCoverage:
         with pytest.raises(GapSchedError):
             min_points_flow_bound([0], -1)
 
+    @pytest.mark.parametrize("bound", [0.1, 1.0, float("inf")])
+    def test_non_rational_bound_rejected(self, bound):
+        # 3 + 0.1 rounds up, and its Fraction lies past 3 + Fraction(0.1).
+        with pytest.raises(GapSchedError, match="not rational"):
+            min_points_flow_bound([3], bound)
+
+    def test_fraction_bound_is_exact(self):
+        bound = Fraction(0.1)
+        assert min_points_flow_bound([3], bound).representatives == {0: 3 + bound}
+
     def test_matches_brute_force(self):
         rng = random.Random(101)
         for _ in range(50):

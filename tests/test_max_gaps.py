@@ -6,22 +6,28 @@ safe, run on concrete schedules: it never loses a gap and leaves no job
 with an idle run of three slots or more behind it.
 """
 
+import bisect
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import gapsched.max_gaps as max_gaps_module
 from gapsched.core import (
+    END,
+    START,
     Constraints,
     Instance,
     Job,
     Schedule,
+    augment,
     gap_stats,
     normalize_distinct,
     validate,
 )
 from gapsched.errors import GapSchedError
-from gapsched.max_gaps import max_gaps
+from gapsched.max_gaps import _window_ends, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
 from helpers import make_instance, planted_normalized, random_feasible_normalized
@@ -109,13 +115,140 @@ class TestWindowEnds:
             assert sched.assignment == old_sched.assignment, inst
 
     def test_far_apart_short_windows_fit_the_cap(self):
-        # At 3n + 3 window ends per release these choice levels were
+        # At 3n + 3 window ends per release these value levels were
         # above the default cap.
         inst = Instance(tuple(Job(i, 2000 * i, 2000 * i + 2) for i in range(200)))
         value, sched = max_gaps(inst)
         assert value == 199
         assert validate(sched, inst, Constraints(require_all=True)) == []
         assert gap_stats(sched).gap_count == value
+
+
+def max_gaps_reference(inst: Instance) -> tuple[int, dict]:
+    """The windowed DP with every level's choices stored: an int16 slot
+    offset per cell beside an int32 working table.  A slot replaces a
+    cell's choice only when its split is strictly better.  Returns the
+    value and the assignment, sentinels left out."""
+    jobs = augment(inst)
+    n = len(jobs)
+    span = 3 * n
+    ugrid = sorted({r for j in jobs for r in (j.release - 1, j.release)})
+    vgrid = _window_ends(jobs, span)
+    ui = {u: i for i, u in enumerate(ugrid)}
+    vi = {v: i for i, v in enumerate(vgrid)}
+    nu, nv = len(ugrid), len(vgrid)
+    cur = np.ones((nu, nv), dtype=np.int32)
+    args = [None]
+    prefixes = [[]]
+
+    def next_release(k, t):
+        rels = prefixes[k - 1]
+        p = bisect.bisect_right(rels, t)
+        return rels[p] if p < len(rels) else None
+
+    def right_row(t, nxt):
+        return ui[nxt] if nxt == t + 1 else ui[nxt - 1]
+
+    for k in range(1, n + 1):
+        jk = jobs[k - 1]
+        prev = cur
+        cur = prev.copy()
+        arg = np.full((nu, nv), -1, dtype=np.int16)
+        rows = bisect.bisect_right(ugrid, jk.release)
+        ucol = np.asarray(ugrid[:rows], dtype=np.int64)
+        first_col = bisect.bisect_left(vgrid, jk.release)
+        last_col = bisect.bisect_left(vgrid, jk.deadline + 1)
+        end = min(last_col + 1, nv)
+        cur[:rows, first_col:end] = -1
+        for t in range(jk.release, min(jk.deadline, jk.release + span) + 1):
+            if t in prefixes[k - 1]:
+                continue
+            tcol = vi[t]
+            left = np.where(ucol <= t - 1, prev[:rows, vi[t - 1]], 0)
+            right = np.empty(end - tcol, dtype=np.int32)
+            right[0] = 0
+            nxt = next_release(k, t)
+            if nxt is None:
+                right[1:] = 1
+            else:
+                split = vi[nxt] - tcol
+                right[1:split] = 1
+                right[split:] = prev[right_row(t, nxt), tcol + split:end]
+            cand = left[:, None] + right[None, :]
+            block = cur[:rows, tcol:end]
+            improved = cand > block
+            block[improved] = cand[improved]
+            arg[:rows, tcol:end][improved] = t - jk.release
+        cur[:rows, end:] = cur[:rows, last_col:end]
+        arg[:rows, end:] = arg[:rows, last_col:end]
+        args.append(arg)
+        prefixes.append(sorted(prefixes[k - 1] + [jk.release]))
+
+    top_u, top_v = ui[jobs[0].release], vi[jobs[-1].release]
+    assignment = {}
+    stack = [(n, top_u, top_v)]
+    while stack:
+        k, u, v = stack.pop()
+        if k == 0:
+            continue
+        jk = jobs[k - 1]
+        if not ugrid[u] <= jk.release <= vgrid[v]:
+            stack.append((k - 1, u, v))
+            continue
+        t = jk.release + int(args[k][u][v])
+        assignment[jk.id] = t
+        if t - 1 >= ugrid[u]:
+            stack.append((k - 1, u, vi[t - 1]))
+        nxt = next_release(k, t)
+        if nxt is not None and nxt <= vgrid[v] and t < vgrid[v]:
+            stack.append((k - 1, right_row(t, nxt), v))
+    value = int(cur[top_u][top_v]) - 2
+    return value, {j: t for j, t in assignment.items() if j not in (START, END)}
+
+
+class TestStoredChoiceReference:
+    def test_same_values_and_witnesses(self):
+        # Ties between slots are common; the witness must take the first
+        # slot attaining the value, as the stored choices do.
+        rng = random.Random(47)
+        instances = []
+        while len(instances) < 360:
+            kind = len(instances) % 3
+            if kind == 0:
+                n = rng.randint(1, 9)
+                inst = random_feasible_normalized(rng, n, rng.randint(n, 3 * n + 6))
+            elif kind == 1:    # dense: n jobs on about 1.3n slots
+                n = rng.randint(1, 40)
+                inst = planted_normalized(rng, n, n + n // 3 + 1, rng.randint(1, n))
+            else:              # sparse: horizon 6n-12n, short windows
+                n = rng.randint(1, 40)
+                inst = planted_normalized(rng, n, rng.randint(6 * n, 12 * n),
+                                          rng.randint(1, 3))
+            if inst is not None:
+                instances.append(inst)
+        for inst in instances:
+            value, sched = max_gaps(inst)
+            assert (value, sched.assignment) == max_gaps_reference(inst), inst
+
+
+class TestLevelMemory:
+    def test_peak_below_every_level_in_full(self):
+        # Spread deadlines make the early levels narrow.  Storing all n + 1
+        # levels at full width, as a choice table per level did, takes
+        # (n + 1) * nu * nv * 2 bytes on its own.
+        inst = planted_normalized(random.Random(53), 60, 78, 8)
+        jobs = augment(inst)
+        nu = len({r for j in jobs for r in (j.release - 1, j.release)})
+        nv = len(_window_ends(jobs, 3 * len(jobs)))
+        full = (len(jobs) + 1) * nu * nv * 2
+        max_gaps(inst)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            max_gaps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full, (peak, full)
 
 
 def lemma2_normalize(schedule: Schedule) -> Schedule:

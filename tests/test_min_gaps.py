@@ -331,7 +331,7 @@ def max_gaps_table_bytes(inst):
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' tables take 89 056 B, max_gaps' choice levels 46 920 B;
+        # min_gaps' tables take 89 056 B, max_gaps' value levels 46 920 B;
         # validating the input alone peaks near 5 000 B.
         inst = planted_normalized(random.Random(5), 20, 26, 3)
         table_bytes = {min_gaps: min_gaps_table_bytes,

@@ -578,6 +578,18 @@ class TestSharedWindows:
         assert found == [inst]
         assert len(answers) > 8  # 8 max_throughput and some min_gaps calls
 
+    def test_large_windows_are_not_kept(self, monkeypatch):
+        # An instance whose windows take more than _KEEP_BYTES leaves no
+        # entry, and each call on it discovers its windows afresh.
+        inst = planted_normalized(random.Random(31), 12, 30, 12)
+        want = sweep(inst)
+        monkeypatch.setattr(throughput, "_KEEP_BYTES", throughput._last[1].nbytes() - 1)
+        throughput._last = None
+        found = record_discoveries(monkeypatch)
+        assert sweep(inst) == want
+        assert throughput._last is None
+        assert found == [inst] * len(want)
+
     def test_interleaved_instances_match_cold_answers(self, cold):
         rng = random.Random(72)
         for trial in range(15):
