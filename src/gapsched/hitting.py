@@ -178,6 +178,8 @@ def max_hit_budget(intervals, budget: int, weighted: bool = False):
 
 def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
     """Smallest point count whose best hit value reaches ``m``."""
+    if not isinstance(m, INTEGER):
+        raise GapSchedError(f"throughput threshold {m!r} is not an integer")
     if m <= 0:
         return 0, HittingSet({})
     ivs = _by_deadline(intervals)

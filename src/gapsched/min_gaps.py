@@ -2,31 +2,41 @@
 
 Dynamic program over sub-instances J(k, a, b): jobs among the first k by
 deadline released strictly between the a-th and b-th release positions,
-scheduled inside the open window.  Each cell stores the minimum count of
+scheduled inside the open window.  Each cell holds the minimum count of
 non-final gaps together with the latest completion time ("stretch")
 achievable at that count; when job k goes strictly inside a block it must
 sit right before some release r_c, which splits the window in two.  Two
 artificial tight jobs below and above the instance anchor both ends, and
 their two boundary gaps are subtracted at the end.
 
-Level k is filled in one pass over all its rows a < p_k (p_k the release
-rank of job k) and columns b > p_k.  Candidates are ranked by one int64
-key from ``_order_key``: the gap count in the top bits, then the stretch
-reversed, then the split rank c plus one, so the smallest key has the
-fewest gaps, then the latest stretch, then the smallest c; "k last" takes
-c = -1 and wins every full tie.  A split at rank c is usable when job c
-comes before job k and the stretch of (a, c) reaches r_c - 2.  The gaps of
-(a, c) shifted into the top bits plus the key of (c, b) is the key of the
-split, so the split branch is a (min,+) product over the ordered key,
-restricted to the split ranks some row can use and taken in blocks of at
-most 4n^2 values.  Level k costs at most n^3, the fill O(n^4).
+A cell is one int64 key from ``_order_key``: the gap count in the top
+bits, then the stretch reversed, then the split rank c plus one, so the
+smallest key has the fewest gaps, then the latest stretch, then the
+smallest c; "k last" takes c = -1 and wins every full tie.  One n x n
+table ``cur`` of keys holds the level being filled.  Level k rewrites only
+its block: rows a < p_k (p_k the release rank of job k) and columns
+b > p_k, the cells whose window holds job k.  Every read of level k - 1
+comes before that write: the block's own rows, and the rows c > p_k of the
+split tails, which level k leaves as they are.  A split at rank c is
+usable when job c comes before job k and the stretch of (a, c) reaches
+r_c - 2.  Its key is the gap field of (a, c) plus the key of (c, b) with
+c + 1 in the split field, so the split branch is a (min,+) product over
+the ordered key, restricted to the split ranks some row can use and taken
+in blocks of at most 4n^2 values.  Level k costs at most n^3, the fill
+O(n^4).
 
-The tables keep every level: ``gaps`` int16, ``stretch`` int32 and
-``choice`` int16, 8 bytes a cell.  Their size is checked against
-``core.require_table_fits`` before anything is allocated.  Every
-coordinate, sentinel jobs included, must lie strictly inside +-2**31 (the
-key's stretch field), and there may be at most 2047 jobs, sentinels
-included (its split-rank field).
+Only the blocks are kept: ``blocks[k]`` is level k's block, p_k x
+(n - p_k - 1) keys, and the ranks p_k run over 0 .. n - 1, so all of them
+take n(n - 1)(n - 2)/6 cells.  Since level k copies every cell outside its
+block from level k - 1, cell (k, a, b) equals cell (j, a, b) for the last
+job j <= k inside the window, which ``cell`` reads from block j; with no
+job inside it is the empty window's key, level 0's.  The working table and
+the blocks, 8 bytes a cell, are checked against ``core.require_table_fits``
+before anything is allocated.  ``gaps``, ``stretch`` and ``choice`` expand
+the blocks to every level in full, for audits only.  Every coordinate,
+sentinel jobs included, must lie strictly inside +-2**31 (the key's
+stretch field), and there may be at most 2047 jobs, sentinels included
+(its split-rank field).
 """
 
 from __future__ import annotations
@@ -50,12 +60,12 @@ from .core import (
 )
 from .errors import GapSchedError
 
-_CELL_BYTES = 2 + 4 + 2     # one cell each of gaps, stretch and choice
 _GAP_SHIFT = 43             # key bits: gaps 43.., stretch 11..42, c + 1 0..10
 _STRETCH_SHIFT = 11
 _STRETCH_TOP = 2**31 - 1    # the stretch field holds _STRETCH_TOP - stretch
 _STRETCH_MASK = 2**32 - 1
 _CHOICE_MASK = 2**11 - 1
+_GAP_FIELD = -(1 << _GAP_SHIFT)  # the gap bits of a key
 _MAX_JOBS = _CHOICE_MASK    # split ranks c < n must fit c + 1 in 11 bits
 _FAR = np.int64(2**61)      # an unusable split; two of them sum to 2**62
 
@@ -66,20 +76,74 @@ def _order_key(g, s, c):
     return (g << _GAP_SHIFT) | ((_STRETCH_TOP - s) << _STRETCH_SHIFT) | (c + 1)
 
 
+# The fields of a key, or of an array of keys.
+def _gaps(key):
+    return key >> _GAP_SHIFT
+
+
+def _stretch(key):
+    return _STRETCH_TOP - ((key >> _STRETCH_SHIFT) & _STRETCH_MASK)
+
+
+def _choice(key):
+    return (key & _CHOICE_MASK) - 1
+
+
 @dataclass
 class MinGapsTables:
-    """Filled DP tables plus enough structure to rebuild any cell's witness."""
+    """The filled DP's stored blocks plus enough structure to read any cell
+    and rebuild its witness."""
 
     jobs: list[Job]              # deadline-sorted, sentinels included
     rank_release: np.ndarray     # release of the p-th smallest release
     job_rank: list[int]          # release rank of deadline index j
-    gaps: np.ndarray             # (N+1, N, N); gaps[k][a][b]
-    stretch: np.ndarray          # (N+1, N, N)
-    choice: np.ndarray           # (N+1, N, N); split rank, or -1 for "k last"
+    blocks: list[np.ndarray]     # blocks[k][a, b - p_k - 1]; blocks[0] is empty
+
+    def _last_inside(self, k: int, a: int, b: int) -> int:
+        """The last of the first k jobs released strictly inside window
+        (a, b), or 0 if none is."""
+        while k > 0 and not (a < self.job_rank[k - 1] < b):
+            k -= 1
+        return k
+
+    def cell(self, k: int, a: int, b: int) -> int:
+        """Key of cell (k, a, b)."""
+        k = self._last_inside(k, a, b)
+        if k == 0:
+            return _order_key(0, int(self.rank_release[a]), -1)
+        return int(self.blocks[k][a, b - self.job_rank[k - 1] - 1])
+
+    def _levels(self, outside=None) -> np.ndarray:
+        """Keys of every level in full, (n + 1, n, n).  A cell outside level
+        k's block holds level k - 1's key, or ``outside`` if given."""
+        n = len(self.jobs)
+        keys = np.empty((n + 1, n, n), dtype=np.int64)
+        keys[0] = _order_key(0, self.rank_release, -1)[:, None]
+        for k in range(1, n + 1):
+            pk = self.job_rank[k - 1]
+            keys[k] = keys[k - 1] if outside is None else outside
+            keys[k, :pk, pk + 1:] = self.blocks[k]
+        return keys
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """Audit view, (n + 1, n, n) int16: gaps[k][a][b]."""
+        return _gaps(self._levels()).astype(np.int16)
+
+    @property
+    def stretch(self) -> np.ndarray:
+        """Audit view, (n + 1, n, n) int32."""
+        return _stretch(self._levels()).astype(np.int32)
+
+    @property
+    def choice(self) -> np.ndarray:
+        """Audit view, (n + 1, n, n) int16: the split rank in level k's
+        block, or -1 for "k last"; -1 outside the block."""
+        return _choice(self._levels(outside=0)).astype(np.int16)
 
     def reconstruct_busy(self, k: int, a: int, b: int) -> tuple[int, ...]:
-        """Busy slots of a schedule realizing gaps[k][a][b] that ends exactly
-        at stretch[k][a][b].
+        """Busy slots of a schedule realizing the gap count of cell (k, a, b)
+        that ends exactly at its stretch.
 
         A cell's slots are built from its sub-cells' slots once those are
         done, so the walk keeps an explicit stack of cells to open and to
@@ -90,12 +154,11 @@ class MinGapsTables:
         while todo:
             close, k, a, b = todo.pop()
             if not close:
-                while k > 0 and not (a < self.job_rank[k - 1] < b):
-                    k -= 1  # job k lies outside the window
+                k = self._last_inside(k, a, b)
                 if k == 0:
                     done.append(())
                     continue
-                c = int(self.choice[k][a][b])
+                c = _choice(self.cell(k, a, b))
                 todo.append((True, k, a, b))
                 if c < 0:
                     todo.append((False, k - 1, a, b))
@@ -104,10 +167,10 @@ class MinGapsTables:
                 continue
             jk = self.jobs[k - 1]
             rb_edge = int(self.rank_release[b]) - 1
-            c = int(self.choice[k][a][b])
+            c = _choice(self.cell(k, a, b))
             if c < 0:
                 prev = done.pop()
-                s_prev = int(self.stretch[k - 1][a][b])
+                s_prev = _stretch(self.cell(k - 1, a, b))
                 if s_prev + 1 < jk.release:
                     done.append(prev + (min(jk.deadline, rb_edge),))
                 elif s_prev < rb_edge:
@@ -138,7 +201,8 @@ def _shift_last_block(slots: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def min_gaps_tables(inst: Instance) -> MinGapsTables:
-    """Fill the gap/stretch tables for the sentinel-augmented instance."""
+    """Fill the DP for the sentinel-augmented instance, keeping each level's
+    block."""
     require_normalized(inst, feasible=True)
     if not inst.jobs:
         raise GapSchedError("need at least one job")
@@ -151,7 +215,9 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     if n > _MAX_JOBS:
         raise GapSchedError(f"{n} jobs (sentinels included), above the "
                             f"limit of {_MAX_JOBS}")
-    require_table_fits("min_gaps tables", (n + 1) * n * n * _CELL_BYTES)
+    # The working table, and the blocks: sum of p(n - 1 - p) over the
+    # release ranks p = 0 .. n - 1, n(n - 1)(n - 2)/6 cells.
+    require_table_fits("min_gaps tables", (n * n + n * (n - 1) * (n - 2) // 6) * 8)
 
     by_release = sorted(range(n), key=lambda j: jobs[j].release)
     job_rank = [0] * n
@@ -160,53 +226,45 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     rank_release = np.array([jobs[j].release for j in by_release], dtype=np.int64)
     rank_dlidx = np.array(by_release, dtype=np.int64)
 
-    gaps = np.zeros((n + 1, n, n), dtype=np.int16)
-    stretch = np.zeros((n + 1, n, n), dtype=np.int32)
-    choice = np.full((n + 1, n, n), -1, dtype=np.int16)
-    stretch[0] = rank_release[:, None]
+    # Level 0: every window is empty, its stretch the release r_a.
+    cur = np.repeat(_order_key(0, rank_release, -1)[:, None], n, axis=1)
+    blocks = [np.empty((0, n - 1), dtype=np.int64)]
     edge = rank_release - 1                      # last usable slot before b
 
     for k in range(1, n + 1):
-        gaps[k] = gaps[k - 1]
-        stretch[k] = stretch[k - 1]
         jk = jobs[k - 1]
         pk = job_rank[k - 1]
-        if pk == 0:
-            continue
         # Rows a < pk and columns b > pk are the cells whose window holds
         # job k; split ranks c lie in the same range as b.
         right = slice(pk + 1, n)
-        g_prev = gaps[k - 1].astype(np.int64)
-        s_prev = stretch[k - 1].astype(np.int64)
-        row_g = g_prev[:pk, right]
-        row_s = s_prev[:pk, right]
+        row = cur[:pk, right]
+        row_g, row_s = _gaps(row), _stretch(row)
 
         # Job k last: right after the stretch, or at its release past a gap.
         new_gap = row_s + 1 < jk.release
-        key = _order_key(row_g + new_gap,
-                         np.where(new_gap, np.minimum(jk.deadline, edge[right]),
-                                  np.minimum(row_s + 1, edge[right])), -1)
+        best = _order_key(row_g + new_gap,
+                          np.where(new_gap, np.minimum(jk.deadline, edge[right]),
+                                   np.minimum(row_s + 1, edge[right])), -1)
 
         # Job k right before release r_c, for the ranks c some row can use:
         # min over c of left[a, c] + tail[c, b], a (min,+) product in blocks
-        # of at most 4n^2 values.
+        # of at most 4n^2 values.  Rows c > pk are level k - 1's and stay so.
         ok = (rank_dlidx[right] <= k - 2) & (row_s >= rank_release[right] - 2)
         cs = np.flatnonzero(ok.any(axis=0))
         c = cs + pk + 1
-        left = np.where(ok[:, cs], row_g[:, cs] << _GAP_SHIFT, _FAR)
+        left = np.where(ok[:, cs], row[:, cs] & _GAP_FIELD, _FAR)
         tail = np.where(c[:, None] < np.arange(pk + 1, n),
-                        _order_key(g_prev[c, right], s_prev[c, right], c[:, None]),
+                        (cur[c, right] & ~_CHOICE_MASK) | (c[:, None] + 1),
                         _FAR)
-        step = 4 * n * n // max(key.size, 1)
+        step = 4 * n * n // max(best.size, 1)
         for i in range(0, len(cs), step):
             blk = slice(i, i + step)
-            key = np.minimum(key, (left[:, blk, None] + tail[None, blk]).min(axis=1))
+            best = np.minimum(best, (left[:, blk, None] + tail[None, blk]).min(axis=1))
 
-        gaps[k, :pk, right] = key >> _GAP_SHIFT
-        stretch[k, :pk, right] = _STRETCH_TOP - ((key >> _STRETCH_SHIFT) & _STRETCH_MASK)
-        choice[k, :pk, right] = (key & _CHOICE_MASK) - 1
+        cur[:pk, right] = best
+        blocks.append(best)
 
-    return MinGapsTables(jobs, rank_release, job_rank, gaps, stretch, choice)
+    return MinGapsTables(jobs, rank_release, job_rank, blocks)
 
 
 def min_gaps(inst: Instance) -> tuple[int, Schedule]:
@@ -215,7 +273,7 @@ def min_gaps(inst: Instance) -> tuple[int, Schedule]:
         return 0, Schedule(inst, {})
     tables = min_gaps_tables(inst)
     n = len(tables.jobs)
-    value = int(tables.gaps[n][0][n - 1]) - 1
+    value = _gaps(tables.cell(n, 0, n - 1)) - 1
     busy = tables.reconstruct_busy(n, 0, n - 1)
     start, end = tables.jobs[0], tables.jobs[-1]
     aug_inst = Instance(tuple(tables.jobs))

@@ -280,6 +280,8 @@ def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
 
 
 def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
+    if not isinstance(m, INTEGER):
+        raise GapSchedError(f"throughput threshold {m!r} is not an integer")
     dp = _DeadlineDP(inst)
     if m <= 0:
         return 0, Schedule(inst, {})

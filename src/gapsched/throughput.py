@@ -346,6 +346,8 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
                             weighted: bool = False) -> tuple[int, Schedule]:
     """Fewest interior gaps among schedules reaching the throughput
     threshold."""
+    if not isinstance(threshold, INTEGER):
+        raise GapSchedError(f"throughput threshold {threshold!r} is not an integer")
     require_normalized(inst)
     if threshold <= 0:
         return 0, Schedule(inst, {})

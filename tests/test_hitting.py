@@ -245,6 +245,15 @@ class TestMinHitWithThroughput:
         with pytest.raises(InfeasibleError):
             min_hit_with_throughput(ivs([(0, 1)]), 2)
 
+    @pytest.mark.parametrize("m", ["2", None, 1.5, 2.0])
+    def test_non_integer_requirement_refused(self, m):
+        # "2" and None raised a bare TypeError; 1.5 was answered as 2.
+        intervals = ivs([(0, 0), (2, 2), (4, 4)])
+        with pytest.raises(GapSchedError, match="not an integer"):
+            min_hit_with_throughput(intervals, m)
+        assert min_hit_with_throughput(intervals, np.int64(2)) == \
+            min_hit_with_throughput(intervals, 2)
+
     def test_inverse_of_max_hit(self):
         rng = random.Random(55)
         for _ in range(30):

@@ -1,5 +1,6 @@
 """Minimum-gap solver: spec examples, full table audit, oracle equivalence,
-the (min,+) fill against a per-row reference, and the table guard."""
+the (min,+) fill against a per-row reference, the stored blocks and their
+memory, and the table guard."""
 
 import itertools
 import random
@@ -20,7 +21,7 @@ from gapsched.core import (
 )
 from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.max_gaps import _window_ends, max_gaps
-from gapsched.min_gaps import min_gaps, min_gaps_tables
+from gapsched.min_gaps import _choice, _gaps, _stretch, min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
 from helpers import make_instance, planted_normalized, random_feasible_normalized
@@ -104,6 +105,7 @@ class TestTables:
                 continue
             done += 1
             tables = min_gaps_tables(inst)
+            gaps, stretch = tables.gaps, tables.stretch
             n = len(tables.jobs)
             for k in range(n + 1):
                 for a in range(n):
@@ -114,8 +116,8 @@ class TestTables:
                             continue
                         sub = window_jobs(tables, k, a, b)
                         ref = cell_reference(sub, ra + 1, rb - 1)
-                        got_g = int(tables.gaps[k][a][b])
-                        got_s = int(tables.stretch[k][a][b])
+                        got_g = int(gaps[k][a][b])
+                        got_s = int(stretch[k][a][b])
                         if not sub:
                             assert got_g == 0 and got_s == ra
                             continue
@@ -131,6 +133,7 @@ class TestTables:
                 continue
             done += 1
             tables = min_gaps_tables(inst)
+            gaps, stretch = tables.gaps, tables.stretch
             from gapsched.core import Instance, edf_schedule_busy_set
 
             n = len(tables.jobs)
@@ -147,14 +150,14 @@ class TestTables:
                         if not sub:
                             continue
                         assert all(ra < t < rb for t in busy)
-                        assert busy[-1] == int(tables.stretch[k][a][b])
+                        assert busy[-1] == int(stretch[k][a][b])
                         matched = edf_schedule_busy_set(
                             Instance(tuple(sub)), busy)
                         assert matched is not None, (k, a, b, busy, sub)
                         blocks = 1 + sum(1 for x, y in zip(busy, busy[1:])
                                          if y > x + 1)
                         counted = blocks - 1 + (1 if busy[0] > ra + 1 else 0)
-                        assert counted == int(tables.gaps[k][a][b])
+                        assert counted == int(gaps[k][a][b])
 
 
     def test_witness_needs_no_recursion(self):
@@ -265,12 +268,13 @@ def split_free_levels(tables):
     r_c - 2."""
     n = len(tables.jobs)
     rank_dlidx = np.argsort([j.release for j in tables.jobs])
+    stretch = tables.stretch
     free = 0
     for k in range(1, n + 1):
         pk = tables.job_rank[k - 1]
         c = np.arange(pk + 1, n)
         ok = ((rank_dlidx[c] <= k - 2)
-              & (tables.stretch[k - 1][:pk, pk + 1:] >= tables.rank_release[c] - 2))
+              & (stretch[k - 1][:pk, pk + 1:] >= tables.rank_release[c] - 2))
         free += not ok.any()
     return free
 
@@ -307,17 +311,71 @@ class TestFillMatchesRowReference:
         tables = min_gaps_tables(planted_family(n, 20, 3))
         assert split_free_levels(tables) >= n // 2
 
-    def test_narrow_dtypes(self):
+    def test_audit_views_keep_their_dtypes(self):
         inst = planted_normalized(random.Random(3), 12, 16, 4)
         tables = min_gaps_tables(inst)
+        n = len(tables.jobs)
         assert tables.gaps.dtype == np.int16
         assert tables.stretch.dtype == np.int32
         assert tables.choice.dtype == np.int16
+        assert tables.gaps.shape == (n + 1, n, n)
 
 
 def min_gaps_table_bytes(inst):
+    """The n x n working key table plus level k's block of p_k rows and
+    n - p_k - 1 columns for every job k, 8 bytes a cell."""
     n = len(inst.jobs) + 2                       # sentinels included
-    return (n + 1) * n * n * 8
+    return (n * n + sum(p * (n - p - 1) for p in range(n))) * 8
+
+
+class TestStoredBlocks:
+    def test_blocks_are_int64_and_total_the_guard_figure(self):
+        inst = planted_normalized(random.Random(3), 12, 16, 4)
+        tables = min_gaps_tables(inst)
+        n = len(tables.jobs)
+        assert len(tables.blocks) == n + 1
+        for k, block in enumerate(tables.blocks[1:], start=1):
+            pk = tables.job_rank[k - 1]
+            assert block.dtype == np.int64
+            assert block.shape == (pk, n - pk - 1)
+        stored = sum(block.nbytes for block in tables.blocks)
+        assert stored + n * n * 8 == min_gaps_table_bytes(inst)
+
+    def test_cell_matches_audit_views(self):
+        rng = random.Random(7019)
+        done = 0
+        while done < 30:
+            inst = random_feasible_normalized(rng, rng.randint(1, 10),
+                                              rng.randint(3, 24))
+            if inst is None:
+                continue
+            done += 1
+            tables = min_gaps_tables(inst)
+            n = len(tables.jobs)
+            gaps, stretch, choice = tables.gaps, tables.stretch, tables.choice
+            for k, a, b in itertools.product(range(n + 1), range(n), range(n)):
+                key = tables.cell(k, a, b)
+                assert _gaps(key) == gaps[k][a][b], (k, a, b)
+                assert _stretch(key) == stretch[k][a][b], (k, a, b)
+                # Outside level k's block the choice view reads -1.
+                inside = k > 0 and a < tables.job_rank[k - 1] < b
+                assert (_choice(key) if inside else -1) == choice[k][a][b], (k, a, b)
+
+
+class TestBlockMemory:
+    def test_peak_below_a_quarter_of_full_levels(self):
+        # Every level in full, as int64 keys, takes (n + 1) * n^2 * 8 bytes.
+        inst = planted_normalized(random.Random(61), 60, 78, 8)
+        n = len(inst.jobs) + 2
+        full = (n + 1) * n * n * 8
+        min_gaps(inst)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            min_gaps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full // 4, (peak, full)
 
 
 def max_gaps_table_bytes(inst):
@@ -331,9 +389,10 @@ def max_gaps_table_bytes(inst):
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' tables take 89 056 B, max_gaps' value levels 46 920 B;
-        # validating the input alone peaks near 5 000 B.
-        inst = planted_normalized(random.Random(5), 20, 26, 3)
+        # min_gaps' key table and blocks take 47 872 B, max_gaps' value
+        # levels 135 828 B; validating the input alone peaks near 3 100 B
+        # in min_gaps and 6 400 B in max_gaps.
+        inst = planted_normalized(random.Random(5), 30, 39, 3)
         table_bytes = {min_gaps: min_gaps_table_bytes,
                        max_gaps: max_gaps_table_bytes}[solver](inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)

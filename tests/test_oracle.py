@@ -290,6 +290,16 @@ class TestGapBudgetType:
         assert oracle_solve(inst, objective, gaps=np.int64(2))[0] == \
             oracle_solve(inst, objective, gaps=2)[0]
 
+    @pytest.mark.parametrize("threshold", ["2", None, 1.5, 2.0])
+    def test_non_integer_threshold_refused(self, threshold):
+        # "2" and None (the default of min_throughput) raised a bare
+        # TypeError; 1.5 was answered as 2.
+        inst = make_instance([(3 * i, 3 * i) for i in range(4)])
+        with pytest.raises(GapSchedError, match="not an integer"):
+            oracle_solve(inst, "min_gaps_throughput", min_throughput=threshold)
+        assert oracle_solve(inst, "min_gaps_throughput", min_throughput=np.int64(2))[0] == \
+            oracle_solve(inst, "min_gaps_throughput", min_throughput=2)[0] == 1
+
 
 class TestSelfChecks:
     """The oracles check their own witnesses with errors that survive

@@ -392,6 +392,14 @@ class TestMinGapsForThroughput:
         with pytest.raises(InfeasibleError):
             min_gaps_for_throughput(normalized([(0, 0), (4, 4)]), 3)
 
+    @pytest.mark.parametrize("threshold", ["2", None, 1.5, 2.0])
+    def test_non_integer_threshold_refused(self, threshold):
+        # "2" and None raised a bare TypeError; 1.5 was answered as 2.
+        inst = normalized([(0, 0), (2, 2), (4, 4)])
+        with pytest.raises(GapSchedError, match="not an integer"):
+            min_gaps_for_throughput(inst, threshold)
+        assert min_gaps_for_throughput(inst, np.int64(2)) == min_gaps_for_throughput(inst, 2)
+
     def test_unreachable_thresholds_fail_at_once(self, monkeypatch):
         edf_calls = []
 
