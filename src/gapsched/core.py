@@ -229,9 +229,8 @@ TABLE_CAP = 1 << 30
 def require_table_fits(what: str, nbytes: int) -> None:
     """Raise GapSchedError when DP tables of ``nbytes`` bytes, named by
     ``what``, exceed TABLE_CAP bytes (1 GiB); solvers call it before
-    allocating them.  min_gaps checks its working key table and stored
-    blocks, max_gaps its value levels and the throughput DP its slots,
-    windows and values.
+    allocating them.  min_gaps and max_gaps check their working tables and
+    stored blocks, the throughput DP its slots, windows and values.
     """
     if nbytes > TABLE_CAP:
         raise GapSchedError(f"{what} would take {nbytes} bytes, above the "

@@ -19,21 +19,35 @@ query ends: no other end is ever read.  Level k fills only the ends up to
 the first one past d_k and copies that column to the later ends: no job
 of the first k can run past d_k, so every later end holds the same value.
 
-One int16 table holds the level being filled; each slot t raises its
-block of cells to the sum of its left and right factors with one maximum,
-and no choice is stored.  After level k only its columns up to that first
-end past d_k are kept.  Every row of level k is constant from that column
-on: the rows it fills by the copy above, the rest because they are level
-k - 1's, constant from an earlier column since deadlines grow with k (and
-level 0 is all ones).  So level j is read at column min(c, width_j - 1).
-The rebuild re-derives each placed job's slot from these values: the
-first slot, in the fill's order, whose split attains the cell's value, so
-a later slot that only ties it never wins.
+One int16 working table holds the level being filled.  Level k changes
+only rows u <= r_k from column r_k on, and its block is those rows up to
+that first end past d_k.  Its candidate slots are found at once, with
+their columns, next prior releases, split columns and right-factor rows.
+The left factors of all slots, window [u, t - 1], are gathered before the
+level writes.  The right factors form one matrix over slots and block
+columns: a floor that never wins before t, 0 at v = t (an empty window),
+1 up to the split at the next prior release (an idle tail is one gap),
+and from the split on the row the right window starts at, which lies past
+r_k and so is level k - 1's.  Consecutive slots are folded in slabs: each
+slab sums its left and right factors into one buffer of ``_SLAB_BYTES``
+(or of the largest block, if one slot needs more) and raises the block to
+its maximum over the slab.
+
+Only the blocks are kept, in one flat array.  Since level k copies every
+cell outside its block from level k - 1, cell (k, u, v) equals cell
+(j, u, v) for the last job j <= k released inside [u, v], read from block
+j at column min(v, end_j - 1) (every row of the block is constant from its
+last column on); with no job inside it is 1, level 0's one all-idle gap.
+The working table and the blocks, 2 bytes a cell, are checked against
+``core.require_table_fits`` before either is allocated.  The rebuild
+re-derives each placed job's slot from these values, scoring all its
+slots' splits at once: the first slot, in the fill's order, whose split
+attains the cell's value, so a later slot that only ties it never wins.
+A value is at most n + 1, so a sum of two fits int16 while n is at most
+``_MAX_JOBS``, sentinels included; a larger n is refused first.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -50,6 +64,11 @@ from .core import (
 )
 from .errors import GapSchedError
 
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_MAX_JOBS = _INT16_MAX // 2 - 1    # 2(n + 1), a sum of two values, fits int16
+_FLOOR = -(_INT16_MAX // 2)        # plus any value: below 0, above int16's minimum
+_SLAB_BYTES = 256 << 10            # one slab's temporary: slots x rows x columns
+
 
 def _window_ends(jobs: list, span: int) -> list[int]:
     """The window ends the fill reads, sorted: the slot before each job's
@@ -65,123 +84,142 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
         return 0, Schedule(inst, {})
     jobs = augment(inst)
     n = len(jobs)
+    if n > _MAX_JOBS:
+        raise GapSchedError(f"{n} jobs (sentinels included), above the int16 "
+                            f"limit of {_MAX_JOBS}")
     span = 3 * n
 
-    ugrid = sorted({r for j in jobs for r in (j.release - 1, j.release)})
-    vgrid = _window_ends(jobs, span)
-    ui = {u: i for i, u in enumerate(ugrid)}
-    vi = {v: i for i, v in enumerate(vgrid)}
-    nu, nv = len(ugrid), len(vgrid)
-    # The stored levels take at most this, and the working table is one more.
-    require_table_fits("max_gaps value levels", (n + 1) * nu * nv * 2)
+    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}),
+                  dtype=np.int64)
+    vg = np.array(_window_ends(jobs, span), dtype=np.int64)
+    nu, nv = len(ug), len(vg)
+    rel = np.array([j.release for j in jobs], dtype=np.int64)
+    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+
+    # Level k's block, k >= 1: rows u <= r_k and columns first[k] to
+    # end[k] - 1, from r_k to the first end past d_k (or the last end), at
+    # offset[k] in one flat store.  Entry 0 is level 0: one stored cell, 1,
+    # that every window reads (row width 0, last column 0).
+    rows = np.concatenate(([0], np.searchsorted(ug, rel, side="right")))
+    first = np.concatenate(([0], np.searchsorted(vg, rel)))
+    last = np.concatenate(([0], np.searchsorted(vg, dl + 1)))
+    end = np.minimum(last + 1, nv)
+    width = end - first
+    width[0] = 0
+    sizes = rows * width
+    sizes[0] = 1
+    offset = np.concatenate(([0], np.cumsum(sizes)))
+    require_table_fits("max_gaps working table and blocks",
+                       (nu * nv + int(offset[-1])) * 2)
+    store = np.empty(int(offset[-1]), dtype=np.int16)
+    store[0] = 1
+    base = offset[:-1] - first          # cell (j, u, v) at base + u * width + v
+    jobno = np.arange(1, n + 1)
+    # The releases with a bound on either side, below every slot and past
+    # every end: its first k + 1 entries bound the releases of jobs < k.
+    bounded = np.concatenate(([ug[0] - 1, vg[-1] + 2], rel))
+
+    def candidates(k: int):
+        """Job k's candidate slots, ascending, with their columns, split
+        columns and right-factor rows.  Another job must run at its release,
+        so those slots are out; the right window starts at the next prior
+        release past t, or at the row of the slot just before it."""
+        jk = jobs[k - 1]
+        prior = np.sort(bounded[:k + 1])
+        ts = np.arange(jk.release, min(jk.deadline, jk.release + span) + 1)
+        p = prior.searchsorted(ts, side="right")
+        free = prior[p - 1] != ts
+        ts, nxt = ts[free], prior[p[free]]
+        # Job k's slots are consecutive ends from r_k's column on, and the
+        # row of nxt - 1 is the one before nxt's.  A slot with no next
+        # release splits past every column, so its row is never read.
+        tcol = first[k] + (ts - jk.release)
+        split = vg.searchsorted(nxt)
+        rrow = ug.searchsorted(nxt) - (nxt > ts + 1)
+        return ts, tcol, split, rrow
 
     # cur[u][v] is the current level k, filled in place; level 0 is the
-    # empty sub-instance: one all-idle gap.  A value is at most n + 1 gaps,
-    # and the table cap keeps n below 1000, so int16 holds it and a sum of
-    # two.  levels[k] keeps level k's columns up to its last distinct one,
-    # read through at().  prefixes[i] holds the sorted releases of the
-    # first i jobs.  After job k runs at t, the right sub-window starts at
-    # the first release of the jobs before k past t, or at the row of the
-    # slot just before it.
+    # empty sub-instance: one all-idle gap.
     cur = np.ones((nu, nv), dtype=np.int16)
-    levels = [cur[:, :1].copy()]
-    prefixes: list[list[int]] = [[]]
-
-    def at(k: int, u: int, v: int) -> int:
-        level = levels[k]
-        return int(level[u, min(v, level.shape[1] - 1)])
-
-    def next_release(k: int, t: int) -> int | None:
-        rels = prefixes[k - 1]
-        p = bisect.bisect_right(rels, t)
-        return rels[p] if p < len(rels) else None
-
-    def right_row(t: int, nxt: int) -> int:
-        return ui[nxt] if nxt == t + 1 else ui[nxt - 1]
-
-    def slots(k: int) -> list[int]:
-        """Job k's candidate slots, ascending: another job must run at its
-        release, so those are out."""
-        jk = jobs[k - 1]
-        taken = set(prefixes[k - 1])
-        return [t for t in range(jk.release, min(jk.deadline, jk.release + span) + 1)
-                if t not in taken]
-
+    buf = np.empty(max(_SLAB_BYTES // 2, int(sizes[1:].max())), dtype=np.int16)
+    slots = [None]                      # slots[k]: job k's candidates, for the rebuild
     for k in range(1, n + 1):
-        jk = jobs[k - 1]
-        rows = bisect.bisect_right(ugrid, jk.release)          # u <= r_k
-        first_col = bisect.bisect_left(vgrid, jk.release)      # v >= r_k
-        last_col = bisect.bisect_left(vgrid, jk.deadline + 1)  # v > d_k
-        end = min(last_col + 1, nv)
-        ts = slots(k)
-        # Left factors over u, window [u, t - 1], read before this level
-        # overwrites them.  The right factors read rows past r_k, which
-        # this level leaves as they are.
-        lefts = cur[:rows, [vi[t - 1] for t in ts]]
-        lefts = np.where(np.asarray(ugrid[:rows])[:, None] < np.asarray(ts), lefts, 0)
-        cur[:rows, first_col:end] = -1
-        for i, t in enumerate(ts):
-            tcol = vi[t]
-            # right factor over t <= v <= last_col
-            right = np.empty(end - tcol, dtype=np.int16)
-            right[0] = 0  # v == t: empty right window
-            nxt = next_release(k, t)
-            if nxt is None:
-                right[1:] = 1  # idle tail is a single gap
-            else:
-                split = vi[nxt] - tcol
-                right[1:split] = 1
-                right[split:] = cur[right_row(t, nxt), tcol + split:end]
-            block = cur[:rows, tcol:end]
-            np.maximum(block, lefts[:, i:i + 1] + right, out=block)
-        cur[:rows, end:] = cur[:rows, last_col:end]
-        levels.append(cur[:, :end].copy())
-        prefixes.append(sorted(prefixes[k - 1] + [jk.release]))
+        rk, c0, ck = rows[k], first[k], end[k]
+        ts, tcol, split, rrow = slots_k = candidates(k)
+        slots.append(slots_k)
+        # Left factors over u, window [u, t - 1] (t - 1 is the column before
+        # t's), read before this level overwrites them.  The first slot is
+        # r_k, and the window [r_k, r_k - 1] in the last row is empty.
+        lefts = cur[:rk, tcol - 1].T
+        lefts[0, -1] = 0
+        # Right factors over the block's columns v, window [t + 1, v].
+        cols = np.arange(c0, ck)
+        rights = cur[rrow, c0:ck]
+        np.copyto(rights, 1, where=cols < split[:, None])
+        np.copyto(rights, _FLOOR, where=cols < tcol[:, None])
+        rights[np.arange(len(ts)), tcol - c0] = 0
+        cur[:rk, c0:ck] = -1
+        s = 0
+        while s < len(ts):
+            cs = tcol[s]
+            w = ck - cs
+            e = min(len(ts), s + max(1, _SLAB_BYTES // (2 * rk * w)))
+            block = cur[:rk, cs:ck]
+            tmp = buf[:(e - s) * rk * w].reshape(e - s, rk, w)
+            np.add(lefts[s:e, :, None], rights[s:e, None, cs - c0:], out=tmp)
+            np.maximum(block, tmp.max(axis=0), out=block)
+            s = e
+        cur[:rk, ck:] = cur[:rk, last[k]:ck]
+        store[offset[k]:offset[k + 1]].reshape(rk, ck - c0)[...] = cur[:rk, c0:ck]
 
-    top_u, top_v = ui[jobs[0].release], vi[jobs[-1].release]
-    value = at(n, top_u, top_v) - 2
+    def cells(k: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values of cells (k, u, v) and the last of the first k jobs
+        released inside each window [u, v] (0 if none is)."""
+        inside = (rel[:k] >= ug[us, None]) & (rel[:k] <= vg[vs, None])
+        j = (inside * jobno[:k]).max(axis=1, initial=0)
+        return store[base[j] + us * width[j] + np.minimum(vs, end[j] - 1)], j
 
-    def slot(k: int, u: int, v: int) -> int:
-        """The slot job k takes in cell (k, u, v): the first whose split
-        attains the cell's value, as the fill met them."""
-        best = at(k, u, v)
-        vc = min(v, levels[k].shape[1] - 1)
-        for t in slots(k):
-            tcol = vi[t]
-            if tcol > vc:
-                break
-            left = at(k - 1, u, vi[t - 1]) if ugrid[u] < t else 0
-            nxt = next_release(k, t)
-            if tcol == vc:
-                right = 0
-            elif nxt is None or vi[nxt] > vc:
-                right = 1
-            else:
-                right = at(k - 1, right_row(t, nxt), vc)
-            if left + right == best:
-                return t
-        raise GapSchedError(f"no slot of job {jobs[k - 1].id!r} attains "
-                            f"{best} in window [{ugrid[u]}, {vgrid[v]}]")
+    def place(k: int, u: int, v: int) -> tuple[int, int, int]:
+        """Job k's slot in cell (k, u, v), the first whose split attains the
+        cell's value, as the fill met them: its index in ``slots[k]`` and
+        the last jobs inside its left and right windows."""
+        ts, tcol, split, rrow = slots[k]
+        vc = min(v, end[k] - 1)
+        m = int(tcol.searchsorted(vc, side="right"))
+        best = store[base[k] + u * width[k] + vc]
+        # Left windows [u, t - 1], then right windows [row, vc], at level
+        # k - 1.  Jobs before k are released before d_k, so [row, v] holds
+        # the same ones as [row, vc].
+        val, j = cells(k - 1, np.concatenate((np.full(m, u), rrow[:m])),
+                       np.concatenate((tcol[:m] - 1, np.full(m, vc))))
+        left = np.where(ug[u] < ts[:m], val[:m], 0)
+        right = np.where(tcol[:m] == vc, 0, np.where(split[:m] > vc, 1, val[m:]))
+        hits = left + right == best
+        i = int(hits.argmax())
+        if not hits[i]:
+            raise GapSchedError(f"no slot of job {jobs[k - 1].id!r} attains "
+                                f"{best} in window [{ug[u]}, {vg[v]}]")
+        return i, int(j[i]), int(j[m + i])
 
     # Rebuild: each placed job leaves a left window, taken next, and
-    # possibly a right one, taken first (pushed last).
+    # possibly a right one, taken first (pushed last).  A window is solved
+    # by the last job released inside it: the top one by END.
+    top_u = int(ug.searchsorted(jobs[0].release))
+    top_v = int(vg.searchsorted(jobs[-1].release))
+    value = int(store[base[n] + top_u * width[n] + min(top_v, end[n] - 1)]) - 2
     assignment: dict = {}
     stack = [(n, top_u, top_v)]
     while stack:
         k, u, v = stack.pop()
         if k == 0:
             continue
-        jk = jobs[k - 1]
-        if not (ugrid[u] <= jk.release <= vgrid[v]):
-            stack.append((k - 1, u, v))
-            continue
-        t = slot(k, u, v)
-        assignment[jk.id] = t
-        if t - 1 >= ugrid[u]:
-            stack.append((k - 1, u, vi[t - 1]))
-        nxt = next_release(k, t)
-        if nxt is not None and nxt <= vgrid[v] and t < vgrid[v]:
-            stack.append((k - 1, right_row(t, nxt), v))
+        ts, tcol, split, rrow = slots[k]
+        i, jl, jr = place(k, u, v)
+        assignment[jobs[k - 1].id] = int(ts[i])
+        if ts[i] - 1 >= ug[u]:
+            stack.append((jl, u, int(tcol[i]) - 1))
+        if split[i] <= v:
+            stack.append((jr, int(rrow[i]), v))
 
     sched = Schedule(inst, {j: t for j, t in assignment.items()
                             if j not in (START, END)})

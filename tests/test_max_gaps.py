@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gapsched.core
 import gapsched.max_gaps as max_gaps_module
 from gapsched.core import (
     END,
@@ -27,7 +28,7 @@ from gapsched.core import (
     validate,
 )
 from gapsched.errors import GapSchedError
-from gapsched.max_gaps import _window_ends, max_gaps
+from gapsched.max_gaps import _MAX_JOBS, _window_ends, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
 from helpers import make_instance, planted_normalized, random_feasible_normalized
@@ -231,16 +232,12 @@ class TestStoredChoiceReference:
             assert (value, sched.assignment) == max_gaps_reference(inst), inst
 
 
-class TestLevelMemory:
-    def test_peak_below_every_level_in_full(self):
-        # Spread deadlines make the early levels narrow.  Storing all n + 1
-        # levels at full width, as a choice table per level did, takes
-        # (n + 1) * nu * nv * 2 bytes on its own.
-        inst = planted_normalized(random.Random(53), 60, 78, 8)
-        jobs = augment(inst)
-        nu = len({r for j in jobs for r in (j.release - 1, j.release)})
-        nv = len(_window_ends(jobs, 3 * len(jobs)))
-        full = (len(jobs) + 1) * nu * nv * 2
+class TestBlockMemory:
+    def test_peak_below_four_mib(self):
+        # Only each level's block is kept: 0.55 MiB here, and the tracemalloc
+        # peak is 1.2 MiB.  Every row of each level up to its first end past
+        # the deadline would take 7.9 MiB.
+        inst = planted_normalized(random.Random(53), 160, 208, 16)
         max_gaps(inst)  # lazy imports happen outside the trace
         tracemalloc.start()
         try:
@@ -248,7 +245,30 @@ class TestLevelMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < full, (peak, full)
+        assert peak <= 4 << 20, peak
+
+
+class TestJobLimit:
+    def test_a_sum_of_two_values_fits_int16(self):
+        # A value is at most n + 1 gaps, sentinels included.
+        assert 2 * (_MAX_JOBS + 1) <= np.iinfo(np.int16).max < 2 * (_MAX_JOBS + 2)
+
+    def test_job_count_refused_before_any_table(self, monkeypatch):
+        inst = make_instance([(i, i) for i in range(_MAX_JOBS - 1)])
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1 << 40)
+
+        def no_grid(jobs, span):
+            raise AssertionError("window ends built before the job count check")
+
+        monkeypatch.setattr(max_gaps_module, "_window_ends", no_grid)
+        with pytest.raises(GapSchedError, match=f"{_MAX_JOBS + 1} jobs"):
+            max_gaps(inst)
+
+    def test_job_count_limit_is_inclusive(self):
+        # _MAX_JOBS jobs pass the count check and meet the table cap instead.
+        inst = make_instance([(i, i) for i in range(_MAX_JOBS - 2)])
+        with pytest.raises(GapSchedError, match="above the cap"):
+            max_gaps(inst)
 
 
 def lemma2_normalize(schedule: Schedule) -> Schedule:

@@ -379,20 +379,29 @@ class TestBlockMemory:
 
 
 def max_gaps_table_bytes(inst):
+    """The nu x nv working table, level 0's one cell and level k's block
+    for every job k: rows u <= r_k, columns from r_k through the first end
+    past d_k; 2 bytes a cell."""
     jobs = augment(inst)
-    n = len(jobs)
-    nu = len({r for j in jobs for r in (j.release - 1, j.release)})
-    nv = len(_window_ends(jobs, 3 * n))
-    return (n + 1) * nu * nv * 2
+    ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
+    vgrid = _window_ends(jobs, 3 * len(jobs))
+    cells = len(ugrid) * len(vgrid) + 1
+    for j in jobs:
+        rows = sum(u <= j.release for u in ugrid)
+        cols = (sum(j.release <= v <= j.deadline for v in vgrid)
+                + any(v > j.deadline for v in vgrid))
+        cells += rows * cols
+    return cells * 2
 
 
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' key table and blocks take 47 872 B, max_gaps' value
-        # levels 135 828 B; validating the input alone peaks near 3 100 B
-        # in min_gaps and 6 400 B in max_gaps.
-        inst = planted_normalized(random.Random(5), 30, 39, 3)
+        # min_gaps' key table and blocks take 333 312 B, max_gaps' working
+        # table and blocks 130 852 B; validating the input and sizing the
+        # tables alone peak near 3 800 B in min_gaps and 13 500 B in
+        # max_gaps.
+        inst = planted_normalized(random.Random(5), 60, 78, 20)
         table_bytes = {min_gaps: min_gaps_table_bytes,
                        max_gaps: max_gaps_table_bytes}[solver](inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
