@@ -39,15 +39,25 @@ cell outside its block from level k - 1, cell (k, u, v) equals cell
 j at column min(v, end_j - 1) (every row of the block is constant from its
 last column on); with no job inside it is 1, level 0's one all-idle gap.
 The working table and the blocks, 2 bytes a cell, are checked against
-``core.require_table_fits`` before either is allocated.  The rebuild
-re-derives each placed job's slot from these values, scoring all its
-slots' splits at once: the first slot, in the fill's order, whose split
-attains the cell's value, so a later slot that only ties it never wins.
+``core.require_table_fits`` before either is allocated.
+
+The rebuild, ``_rebuild``, re-derives each placed job's slot from these
+values in Python scalars.  It walks the job's candidate slots in the fill's
+order and stops at the first whose split attains the cell's value, so a
+later slot that only ties it never wins.  A slot's left and right windows
+are each read at the last job released inside them, found by stepping
+down from job k - 1 as ``MinGapsTables`` does: at most k - 1 steps a
+window.  A placed job so costs O(n) a slot tried, and at most 3n + 1
+slots; the rebuild is O(n^3) at worst, against the fill's O(n^5).
+
 A value is at most n + 1, so a sum of two fits int16 while n is at most
 ``_MAX_JOBS``, sentinels included; a larger n is refused first.
 """
 
 from __future__ import annotations
+
+import bisect
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,18 +87,26 @@ def _window_ends(jobs: list, span: int) -> list[int]:
                    for v in range(j.release - 1, min(j.deadline, j.release + span) + 1)})
 
 
-def max_gaps(inst: Instance) -> tuple[int, Schedule]:
-    """Maximum interior gap count over full schedules, with witness."""
-    require_normalized(inst, feasible=True)
-    if len(inst.jobs) == 0:
-        return 0, Schedule(inst, {})
-    jobs = augment(inst)
-    n = len(jobs)
-    if n > _MAX_JOBS:
-        raise GapSchedError(f"{n} jobs (sentinels included), above the int16 "
-                            f"limit of {_MAX_JOBS}")
-    span = 3 * n
+class _Levels(NamedTuple):
+    """The filled DP: every level's block in one flat store, and the grid
+    and slots the rebuild reads them by."""
 
+    jobs: list                  # deadline-sorted, sentinels included
+    ug: np.ndarray              # window starts u, ascending
+    vg: np.ndarray              # window ends v, ascending
+    rel: np.ndarray             # rel[k - 1]: release of job k
+    base: np.ndarray            # cell (k, u, v) at base[k] + u * width[k] + v
+    width: np.ndarray
+    end: np.ndarray             # one past level k's last stored column
+    store: np.ndarray           # int16, every level's block
+    slots: list                 # slots[k]: rows t, column, split column, right row
+
+
+def _fill(jobs: list) -> _Levels:
+    """Fill the DP for the sentinel-augmented jobs, keeping each level's
+    block."""
+    n = len(jobs)
+    span = 3 * n
     ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}),
                   dtype=np.int64)
     vg = np.array(_window_ends(jobs, span), dtype=np.int64)
@@ -113,17 +131,16 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
                        (nu * nv + int(offset[-1])) * 2)
     store = np.empty(int(offset[-1]), dtype=np.int16)
     store[0] = 1
-    base = offset[:-1] - first          # cell (j, u, v) at base + u * width + v
-    jobno = np.arange(1, n + 1)
     # The releases with a bound on either side, below every slot and past
     # every end: its first k + 1 entries bound the releases of jobs < k.
     bounded = np.concatenate(([ug[0] - 1, vg[-1] + 2], rel))
 
-    def candidates(k: int):
+    def candidates(k: int) -> np.ndarray:
         """Job k's candidate slots, ascending, with their columns, split
-        columns and right-factor rows.  Another job must run at its release,
-        so those slots are out; the right window starts at the next prior
-        release past t, or at the row of the slot just before it."""
+        columns and right-factor rows, as four rows.  Another job must run
+        at its release, so those slots are out; the right window starts at
+        the next prior release past t, or at the row of the slot just
+        before it."""
         jk = jobs[k - 1]
         prior = np.sort(bounded[:k + 1])
         ts = np.arange(jk.release, min(jk.deadline, jk.release + span) + 1)
@@ -134,19 +151,18 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
         # row of nxt - 1 is the one before nxt's.  A slot with no next
         # release splits past every column, so its row is never read.
         tcol = first[k] + (ts - jk.release)
-        split = vg.searchsorted(nxt)
-        rrow = ug.searchsorted(nxt) - (nxt > ts + 1)
-        return ts, tcol, split, rrow
+        return np.array((ts, tcol, vg.searchsorted(nxt),
+                         ug.searchsorted(nxt) - (nxt > ts + 1)))
 
     # cur[u][v] is the current level k, filled in place; level 0 is the
     # empty sub-instance: one all-idle gap.
     cur = np.ones((nu, nv), dtype=np.int16)
     buf = np.empty(max(_SLAB_BYTES // 2, int(sizes[1:].max())), dtype=np.int16)
-    slots = [None]                      # slots[k]: job k's candidates, for the rebuild
+    slots = [None]
     for k in range(1, n + 1):
         rk, c0, ck = rows[k], first[k], end[k]
-        ts, tcol, split, rrow = slots_k = candidates(k)
-        slots.append(slots_k)
+        slots.append(candidates(k))
+        ts, tcol, split, rrow = slots[k]
         # Left factors over u, window [u, t - 1] (t - 1 is the column before
         # t's), read before this level overwrites them.  The first slot is
         # r_k, and the window [r_k, r_k - 1] in the last row is empty.
@@ -171,56 +187,81 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
             s = e
         cur[:rk, ck:] = cur[:rk, last[k]:ck]
         store[offset[k]:offset[k + 1]].reshape(rk, ck - c0)[...] = cur[:rk, c0:ck]
+    return _Levels(jobs, ug, vg, rel, offset[:-1] - first, width, end, store, slots)
 
-    def cells(k: int, us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values of cells (k, u, v) and the last of the first k jobs
-        released inside each window [u, v] (0 if none is)."""
-        inside = (rel[:k] >= ug[us, None]) & (rel[:k] <= vg[vs, None])
-        j = (inside * jobno[:k]).max(axis=1, initial=0)
-        return store[base[j] + us * width[j] + np.minimum(vs, end[j] - 1)], j
 
-    def place(k: int, u: int, v: int) -> tuple[int, int, int]:
-        """Job k's slot in cell (k, u, v), the first whose split attains the
-        cell's value, as the fill met them: its index in ``slots[k]`` and
-        the last jobs inside its left and right windows."""
-        ts, tcol, split, rrow = slots[k]
+def _rebuild(levels: _Levels) -> tuple[int, dict]:
+    """The top cell's value and a schedule attaining it, sentinels included.
+
+    Each placed job leaves a left window, taken next, and possibly a right
+    one, taken first (pushed last).  A window is solved by the last job
+    released inside it: the top one by END.
+    """
+    jobs, store, slots = levels.jobs, levels.store, levels.slots
+    ug, vg, rel = levels.ug.tolist(), levels.vg.tolist(), levels.rel.tolist()
+    base, width, end = levels.base.tolist(), levels.width.tolist(), levels.end.tolist()
+
+    def last_inside(k: int, lo: int, hi: int) -> int:
+        """The last of the first k jobs released inside [lo, hi], or 0."""
+        while k and not lo <= rel[k - 1] <= hi:
+            k -= 1
+        return k
+
+    def cell(j: int, u: int, v: int) -> int:
+        """Value of cell (j, u, v), j the last job inside its window."""
+        return store.item(base[j] + u * width[j] + min(v, end[j] - 1))
+
+    def place(k: int, u: int, v: int) -> tuple[int, ...]:
+        """Job k's slot in cell (k, u, v): the first, as the fill met them,
+        whose split attains the cell's value, with the last jobs inside its
+        left and right windows.  These windows, [u, t - 1] and [row, v], are
+        read at level k - 1.  Jobs before k are released before d_k, so a
+        split at or before v lies at or before vc, and [row, v] holds the
+        same jobs and the same value as [row, vc]."""
         vc = min(v, end[k] - 1)
-        m = int(tcol.searchsorted(vc, side="right"))
-        best = store[base[k] + u * width[k] + vc]
-        # Left windows [u, t - 1], then right windows [row, vc], at level
-        # k - 1.  Jobs before k are released before d_k, so [row, v] holds
-        # the same ones as [row, vc].
-        val, j = cells(k - 1, np.concatenate((np.full(m, u), rrow[:m])),
-                       np.concatenate((tcol[:m] - 1, np.full(m, vc))))
-        left = np.where(ug[u] < ts[:m], val[:m], 0)
-        right = np.where(tcol[:m] == vc, 0, np.where(split[:m] > vc, 1, val[m:]))
-        hits = left + right == best
-        i = int(hits.argmax())
-        if not hits[i]:
-            raise GapSchedError(f"no slot of job {jobs[k - 1].id!r} attains "
-                                f"{best} in window [{ug[u]}, {vg[v]}]")
-        return i, int(j[i]), int(j[m + i])
+        best = cell(k, u, vc)
+        lo = ug[u]
+        for t, tcol, split, rrow in zip(*slots[k].tolist()):
+            if tcol > vc:
+                break
+            jl = last_inside(k - 1, lo, t - 1) if lo < t else 0
+            left = cell(jl, u, tcol - 1) if lo < t else 0
+            jr = last_inside(k - 1, ug[rrow], vg[vc]) if split <= vc else 0
+            right = cell(jr, rrow, vc) if split <= vc else 0 if tcol == vc else 1
+            if left + right == best:
+                return t, tcol, split, rrow, jl, jr
+        raise GapSchedError(f"no slot of job {jobs[k - 1].id!r} attains "
+                            f"{best} in window [{lo}, {vg[v]}]")
 
-    # Rebuild: each placed job leaves a left window, taken next, and
-    # possibly a right one, taken first (pushed last).  A window is solved
-    # by the last job released inside it: the top one by END.
-    top_u = int(ug.searchsorted(jobs[0].release))
-    top_v = int(vg.searchsorted(jobs[-1].release))
-    value = int(store[base[n] + top_u * width[n] + min(top_v, end[n] - 1)]) - 2
+    n = len(jobs)
+    top_u = bisect.bisect_left(ug, jobs[0].release)
+    top_v = bisect.bisect_left(vg, jobs[-1].release)
+    value = cell(n, top_u, top_v) - 2
     assignment: dict = {}
     stack = [(n, top_u, top_v)]
     while stack:
         k, u, v = stack.pop()
         if k == 0:
             continue
-        ts, tcol, split, rrow = slots[k]
-        i, jl, jr = place(k, u, v)
-        assignment[jobs[k - 1].id] = int(ts[i])
-        if ts[i] - 1 >= ug[u]:
-            stack.append((jl, u, int(tcol[i]) - 1))
-        if split[i] <= v:
-            stack.append((jr, int(rrow[i]), v))
+        t, tcol, split, rrow, jl, jr = place(k, u, v)
+        assignment[jobs[k - 1].id] = t
+        if ug[u] < t:
+            stack.append((jl, u, tcol - 1))
+        if split <= v:
+            stack.append((jr, rrow, v))
+    return value, assignment
 
+
+def max_gaps(inst: Instance) -> tuple[int, Schedule]:
+    """Maximum interior gap count over full schedules, with witness."""
+    require_normalized(inst, feasible=True)
+    if len(inst.jobs) == 0:
+        return 0, Schedule(inst, {})
+    jobs = augment(inst)
+    if len(jobs) > _MAX_JOBS:
+        raise GapSchedError(f"{len(jobs)} jobs (sentinels included), above the "
+                            f"int16 limit of {_MAX_JOBS}")
+    value, assignment = _rebuild(_fill(jobs))
     sched = Schedule(inst, {j: t for j, t in assignment.items()
                             if j not in (START, END)})
     certify(sched, inst, Constraints(require_all=True), value, "gap_count")

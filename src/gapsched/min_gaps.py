@@ -25,6 +25,21 @@ the ordered key, restricted to the split ranks some row can use and taken
 in blocks of at most 4n^2 values.  Level k costs at most n^3, the fill
 O(n^4).
 
+A level is updated on the keys themselves, never decoded.  ``cur`` keeps
+its keys with the split field 0, and the stretch field runs backwards, so
+the latest of two slots has the larger field.  For a row key, gap is
+key & _GAP_FIELD and after = key - gap - (1 << 11) is the stretch field
+of s + 1; edge_f[b] is the field of r_b - 1, the last slot before r_b.
+"k last" keeps the gap count when s + 1 comes at or after r_k (after at
+most the field of r_k), with key gap + max(after, edge_f[b]): stretch
+min(s + 1, r_b - 1).  Otherwise it opens a gap at r_k, with key
+gap + (1 << 43) + max(edge_f[b], field of d_k): stretch min(d_k, r_b - 1).
+A split at rank c is usable when s + 1 >= r_c - 1, that is after <=
+edge_f[c].  Its left factor is gap + c + 1 and its tail is ``cur``'s key of
+(c, b).  Every cell a >= b of ``cur``, which is no window, holds _FAR, so
+a tail with c >= b never wins.  The stored block is the level's minimum
+with its split field; ``cur`` takes it with the field cleared.
+
 Only the blocks are kept: ``blocks[k]`` is level k's block, p_k x
 (n - p_k - 1) keys, and the ranks p_k run over 0 .. n - 1, so all of them
 take n(n - 1)(n - 2)/6 cells.  Since level k copies every cell outside its
@@ -66,6 +81,8 @@ _STRETCH_TOP = 2**31 - 1    # the stretch field holds _STRETCH_TOP - stretch
 _STRETCH_MASK = 2**32 - 1
 _CHOICE_MASK = 2**11 - 1
 _GAP_FIELD = -(1 << _GAP_SHIFT)  # the gap bits of a key
+_GAP_ONE = 1 << _GAP_SHIFT          # one gap more
+_STRETCH_ONE = 1 << _STRETCH_SHIFT  # one slot less of stretch
 _MAX_JOBS = _CHOICE_MASK    # split ranks c < n must fit c + 1 in 11 bits
 _FAR = np.int64(2**61)      # an unusable split; two of them sum to 2**62
 
@@ -224,12 +241,15 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     for p, j in enumerate(by_release):
         job_rank[j] = p
     rank_release = np.array([jobs[j].release for j in by_release], dtype=np.int64)
-    rank_dlidx = np.array(by_release, dtype=np.int64)
 
-    # Level 0: every window is empty, its stretch the release r_a.
-    cur = np.repeat(_order_key(0, rank_release, -1)[:, None], n, axis=1)
+    # Level 0: every window (a, b), a < b, is empty, its stretch the release
+    # r_a; the cells a >= b are no window, _FAR.
+    cur = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
+                   _order_key(0, rank_release, -1)[:, None], _FAR)
     blocks = [np.empty((0, n - 1), dtype=np.int64)]
-    edge = rank_release - 1                      # last usable slot before b
+    # Stretch field of r_b - 1, the last slot before release b.
+    edge_f = (_STRETCH_TOP - (rank_release - 1)) << _STRETCH_SHIFT
+    usable = np.zeros(n, dtype=bool)    # by rank: the jobs before job k
 
     for k in range(1, n + 1):
         jk = jobs[k - 1]
@@ -238,31 +258,34 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
         # job k; split ranks c lie in the same range as b.
         right = slice(pk + 1, n)
         row = cur[:pk, right]
-        row_g, row_s = _gaps(row), _stretch(row)
+        gap = row & _GAP_FIELD
+        after = row - gap - _STRETCH_ONE     # the stretch field of s + 1
+        edge = edge_f[right]
 
-        # Job k last: right after the stretch, or at its release past a gap.
-        new_gap = row_s + 1 < jk.release
-        best = _order_key(row_g + new_gap,
-                          np.where(new_gap, np.minimum(jk.deadline, edge[right]),
-                                   np.minimum(row_s + 1, edge[right])), -1)
+        # Job k last: right after the stretch, or at its release past a gap;
+        # the stretch is at most r_b - 1.
+        new_gap = after > (_STRETCH_TOP - jk.release) << _STRETCH_SHIFT
+        at_release = _GAP_ONE + np.maximum(
+            edge, (_STRETCH_TOP - jk.deadline) << _STRETCH_SHIFT)
+        best = gap + np.where(new_gap, at_release, np.maximum(after, edge))
 
-        # Job k right before release r_c, for the ranks c some row can use:
-        # min over c of left[a, c] + tail[c, b], a (min,+) product in blocks
-        # of at most 4n^2 values.  Rows c > pk are level k - 1's and stay so.
-        ok = (rank_dlidx[right] <= k - 2) & (row_s >= rank_release[right] - 2)
+        # Job k right before release r_c, for the ranks c some row can use
+        # (s + 1 >= r_c - 1): min over c of left[a, c] + tail[c, b], a
+        # (min,+) product in blocks of at most 4n^2 values; the left factor
+        # carries the split field c + 1.  Rows c > pk are level k - 1's and
+        # stay so.
+        ok = usable[right] & (after <= edge)
         cs = np.flatnonzero(ok.any(axis=0))
-        c = cs + pk + 1
-        left = np.where(ok[:, cs], row[:, cs] & _GAP_FIELD, _FAR)
-        tail = np.where(c[:, None] < np.arange(pk + 1, n),
-                        (cur[c, right] & ~_CHOICE_MASK) | (c[:, None] + 1),
-                        _FAR)
+        left = np.where(ok[:, cs], gap[:, cs] + (cs + pk + 2), _FAR)
+        tail = cur[cs + pk + 1, right]
         step = 4 * n * n // max(best.size, 1)
         for i in range(0, len(cs), step):
             blk = slice(i, i + step)
             best = np.minimum(best, (left[:, blk, None] + tail[None, blk]).min(axis=1))
 
-        cur[:pk, right] = best
+        np.bitwise_and(best, ~_CHOICE_MASK, out=row)
         blocks.append(best)
+        usable[pk] = True
 
     return MinGapsTables(jobs, rank_release, job_rank, blocks)
 

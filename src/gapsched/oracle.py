@@ -366,6 +366,8 @@ def oracle_min_max_flow(inst: Instance, gaps: int):
 
 
 def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
+    if not isinstance(flow_bound, INTEGER):
+        raise GapSchedError(f"flow bound {flow_bound!r} is not an integer")
     if flow_bound < 0:
         raise GapSchedError("flow bound must be non-negative")
     n = len(inst.jobs)
@@ -381,6 +383,8 @@ def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
 
 
 def oracle_min_gaps_max_flow(inst: Instance, flow_bound: int):
+    if not isinstance(flow_bound, INTEGER):
+        raise GapSchedError(f"flow bound {flow_bound!r} is not an integer")
     if flow_bound < 0:
         raise GapSchedError("flow bound must be non-negative")
     for g in range(max(len(inst.jobs), 1)):

@@ -75,6 +75,21 @@ def planted_normalized(rng: random.Random, n: int, horizon: int, reach: int,
     return Instance(tuple(jobs))
 
 
+def nested_wide(rng: random.Random, n: int) -> Instance:
+    """n // 2 short windows in a row, one every three slots, under n - n // 2
+    nested wide windows: the later a wide window's deadline, the earlier its
+    release, and every wide deadline comes after the short jobs.  A window
+    that starts between short jobs holds early short jobs and misses every
+    later one, so a walk from job k down to the last job inside a window
+    runs long.  Releases and deadlines are distinct, and the wide windows
+    have free slots to spare, so the instance is feasible."""
+    s, w = n // 2, n - n // 2
+    short = [(3 * (w + i), 3 * (w + i) + rng.randint(0, 1)) for i in range(s)]
+    wide = [(3 * (w + s // 2 - i) + 1, 3 * (w + s + 1) + 2 * i + rng.randint(0, 1))
+            for i in range(w)]
+    return make_instance(short + wide)
+
+
 def all_window_multisets(n: int, horizon: int, step: int = 1):
     """Every multiset of n windows over a coarse slot grid."""
     slots = range(0, horizon, step)

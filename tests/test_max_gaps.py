@@ -28,10 +28,10 @@ from gapsched.core import (
     validate,
 )
 from gapsched.errors import GapSchedError
-from gapsched.max_gaps import _MAX_JOBS, _window_ends, max_gaps
+from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, _window_ends, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
-from helpers import make_instance, planted_normalized, random_feasible_normalized
+from helpers import make_instance, nested_wide, planted_normalized, random_feasible_normalized
 
 
 def normalized(windows):
@@ -227,9 +227,32 @@ class TestStoredChoiceReference:
                                           rng.randint(1, 3))
             if inst is not None:
                 instances.append(inst)
+        # Long walks down to the last job inside a window: up to 59 steps
+        # at n = 60, where a planted instance of that size needs at most 10.
+        instances += [nested_wide(rng, n) for n in (40, 50, 60)]
         for inst in instances:
             value, sched = max_gaps(inst)
             assert (value, sched.assignment) == max_gaps_reference(inst), inst
+
+
+class TestRebuild:
+    def test_unattained_value_refused(self):
+        # The top cell one above what any slot of END attains: a store the
+        # fill cannot make.  The rebuild refuses it with GapSchedError, not
+        # an assert, so the check holds under python -O too.
+        inst = planted_normalized(random.Random(59), 12, 16, 3)
+        jobs = augment(inst)
+        n = len(jobs)
+        levels = _fill(jobs)
+        value, assignment = _rebuild(levels)
+        assert (value, {j: t for j, t in assignment.items() if j not in (START, END)}) == \
+            max_gaps_reference(inst)
+        u = int(levels.ug.searchsorted(jobs[0].release))
+        v = min(int(levels.vg.searchsorted(jobs[-1].release)), int(levels.end[n]) - 1)
+        levels.store[levels.base[n] + u * levels.width[n] + v] += 1
+        # The top cell counts the sentinels' two gaps: value + 2, now + 3.
+        with pytest.raises(GapSchedError, match=f"no slot of job {END!r} attains {value + 3}"):
+            _rebuild(levels)
 
 
 class TestBlockMemory:

@@ -24,7 +24,7 @@ from gapsched.max_gaps import _window_ends, max_gaps
 from gapsched.min_gaps import _choice, _gaps, _stretch, min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
-from helpers import make_instance, planted_normalized, random_feasible_normalized
+from helpers import make_instance, nested_wide, planted_normalized, random_feasible_normalized
 
 
 def window_jobs(tables, k, a, b):
@@ -123,6 +123,20 @@ class TestTables:
                             continue
                         assert got_g == ref[0], (k, a, b, sub)
                         assert got_s == ref[1], (k, a, b, sub)
+        # Nested wide windows over short ones, too wide to enumerate: ``cell``
+        # walks from k down to the last job inside, up to n steps, and must
+        # give the per-row reference's key fields in every window.
+        for size in (40, 50):
+            inst = nested_wide(rng, size)
+            tables = min_gaps_tables(inst)
+            gaps, stretch, _ = min_gaps_tables_reference(inst)
+            n = len(tables.jobs)
+            for k in range(n + 1):
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        key = tables.cell(k, a, b)
+                        assert (_gaps(key), _stretch(key)) == \
+                            (gaps[k, a, b], stretch[k, a, b]), (k, a, b)
 
     def test_every_cell_witness_reconstructs(self):
         rng = random.Random(1013)

@@ -2,6 +2,8 @@
 enumeration of assignments on tiny instances."""
 
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +301,17 @@ class TestGapBudgetType:
             oracle_solve(inst, "min_gaps_throughput", min_throughput=threshold)
         assert oracle_solve(inst, "min_gaps_throughput", min_throughput=np.int64(2))[0] == \
             oracle_solve(inst, "min_gaps_throughput", min_throughput=2)[0] == 1
+
+    @pytest.mark.parametrize("objective", ["total_flow", "max_flow"])
+    def test_non_integer_flow_bound_refused(self, objective):
+        # 2.5 was answered with 0 gaps on these releases.
+        inst = release_instance([0, 0, 1, 3])
+        for bound in (2.5, Fraction(5, 2)):
+            with pytest.raises(GapSchedError,
+                               match=re.escape(f"flow bound {bound!r} is not an integer")):
+                oracle_solve(inst, f"min_gaps_{objective}", **{objective: bound})
+        assert oracle_solve(inst, f"min_gaps_{objective}", **{objective: np.int64(2)})[0] == \
+            oracle_solve(inst, f"min_gaps_{objective}", **{objective: 2})[0]
 
 
 class TestSelfChecks:
