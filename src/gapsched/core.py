@@ -223,6 +223,17 @@ def require_normalized(inst: Instance, feasible: bool = False) -> None:
                                   witness=res.witness)
 
 
+def require_count(name: str, value, minimum: int | None = 0) -> None:
+    """Raise GapSchedError unless ``value`` is an integer of at least
+    ``minimum`` (None: any integer).  A bool is refused: True is not the
+    budget or threshold 1."""
+    if isinstance(value, bool) or not isinstance(value, INTEGER):
+        raise GapSchedError(f"{name} {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise GapSchedError(f"{name} must be {bound}, got {value}")
+
+
 TABLE_CAP = 1 << 30
 
 

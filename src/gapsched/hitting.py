@@ -27,7 +27,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INTEGER
+from .core import INTEGER, require_count
 from .errors import GapSchedError, InfeasibleError
 from .xy_select import select_kth
 
@@ -161,10 +161,7 @@ def _hit_witness(ivs, delta, cols) -> HittingSet:
 def max_hit_budget(intervals, budget: int, weighted: bool = False):
     """Maximum number (or weight) of intervals hit by at most ``budget``
     points; witness points are interval ends."""
-    if not isinstance(budget, INTEGER):
-        raise GapSchedError(f"point budget {budget!r} is not an integer")
-    if budget <= 0:
-        raise GapSchedError(f"point budget must be positive, got {budget}")
+    require_count("point budget", budget, 1)
     ivs = _by_deadline(intervals)
     n = len(ivs)
     if n == 0:
@@ -178,8 +175,7 @@ def max_hit_budget(intervals, budget: int, weighted: bool = False):
 
 def min_hit_with_throughput(intervals, m: int, weighted: bool = False):
     """Smallest point count whose best hit value reaches ``m``."""
-    if not isinstance(m, INTEGER):
-        raise GapSchedError(f"throughput threshold {m!r} is not an integer")
+    require_count("throughput threshold", m, None)
     if m <= 0:
         return 0, HittingSet({})
     ivs = _by_deadline(intervals)
@@ -301,8 +297,7 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
 def _sorted_releases(releases) -> list[int]:
     rs = sorted(releases)
     for r in rs:
-        if not isinstance(r, INTEGER):
-            raise GapSchedError(f"release {r!r} is not an integer")
+        require_count("release", r, None)
     return rs
 
 
@@ -312,13 +307,18 @@ def min_points_flow_bound(releases, bound) -> HittingSet:
 
     Representatives are keyed by rank in sorted release order, not by
     input position: key i covers the i-th smallest release.  ``bound`` is
-    an integer or a Fraction: a float would round when added to a release.
+    an integer or a Fraction: a float would round when added to a release,
+    and True is not the bound 1.
     """
-    if not isinstance(bound, numbers.Rational):
+    if isinstance(bound, bool) or not isinstance(bound, numbers.Rational):
         raise GapSchedError(f"flow bound {bound!r} is not rational")
     if bound < 0:
         raise GapSchedError(f"flow bound must be non-negative, got {bound}")
-    rs = _sorted_releases(releases)
+    return _cover(_sorted_releases(releases), bound)
+
+
+def _cover(rs: list[int], bound) -> HittingSet:
+    """``min_points_flow_bound`` on releases already sorted and checked."""
     reps: dict[object, Fraction] = {}
     last = None
     for i, r in enumerate(rs):
@@ -335,10 +335,7 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
     As in ``min_points_flow_bound``, representatives are keyed by rank in
     sorted release order, not by input position.
     """
-    if not isinstance(budget, INTEGER):
-        raise GapSchedError(f"point budget {budget!r} is not an integer")
-    if budget <= 0:
-        raise GapSchedError(f"point budget must be positive, got {budget}")
+    require_count("point budget", budget, 1)
     rs = _sorted_releases(releases)
     n = len(rs)
     if n == 0:
@@ -346,7 +343,7 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
     ys = sorted(-r for r in rs)
 
     def decide(f: int) -> bool:
-        return f >= 0 and min_points_flow_bound(rs, f).cardinality <= budget
+        return f >= 0 and _cover(rs, f).cardinality <= budget
 
     p, q = 1, n * n
     while p < q:

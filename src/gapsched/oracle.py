@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import INTEGER, Instance, Schedule, edf_schedule_busy_set
+from .core import Instance, Schedule, edf_schedule_busy_set, require_count
 from .errors import GapSchedError, InfeasibleError, OracleCapError
 
 _INF = 2**30
@@ -265,10 +265,7 @@ def _walk_throughput(dp: _DeadlineDP, tables, weights, g: int) -> dict:
 
 
 def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
-    if not isinstance(gaps, INTEGER):
-        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
-    if gaps < 0:
-        raise GapSchedError("gap budget must be non-negative")
+    require_count("gap budget", gaps)
     dp = _DeadlineDP(inst)
     if dp.n == 0:
         return 0, Schedule(inst, {})
@@ -280,8 +277,7 @@ def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
 
 
 def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
-    if not isinstance(m, INTEGER):
-        raise GapSchedError(f"throughput threshold {m!r} is not an integer")
+    require_count("throughput threshold", m, None)
     dp = _DeadlineDP(inst)
     if m <= 0:
         return 0, Schedule(inst, {})
@@ -308,10 +304,7 @@ def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
 def _solve_flow(inst: Instance, gaps: int, combine, limit=None):
     """Least combined flow within `gaps` gaps, with its witness; `limit`
     is the last slot of the universe (default: max release + n)."""
-    if not isinstance(gaps, INTEGER):
-        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
-    if gaps < 0:
-        raise GapSchedError("gap budget must be non-negative")
+    require_count("gap budget", gaps)
     jobs = inst.by_release()
     n = len(jobs)
     if n == 0:
@@ -366,10 +359,7 @@ def oracle_min_max_flow(inst: Instance, gaps: int):
 
 
 def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
-    if not isinstance(flow_bound, INTEGER):
-        raise GapSchedError(f"flow bound {flow_bound!r} is not an integer")
-    if flow_bound < 0:
-        raise GapSchedError("flow bound must be non-negative")
+    require_count("flow bound", flow_bound)
     n = len(inst.jobs)
     floor = None
     for g in range(max(n, 1)):
@@ -383,10 +373,7 @@ def oracle_min_gaps_total_flow(inst: Instance, flow_bound: int):
 
 
 def oracle_min_gaps_max_flow(inst: Instance, flow_bound: int):
-    if not isinstance(flow_bound, INTEGER):
-        raise GapSchedError(f"flow bound {flow_bound!r} is not an integer")
-    if flow_bound < 0:
-        raise GapSchedError("flow bound must be non-negative")
+    require_count("flow bound", flow_bound)
     for g in range(max(len(inst.jobs), 1)):
         value, sched = oracle_min_max_flow(inst, g)
         if value <= flow_bound:

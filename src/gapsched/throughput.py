@@ -21,19 +21,32 @@ a job at its release, and blocks hold at most n jobs.
 
 The DP runs in three passes over int arrays, none of them recursive.
 Discovery walks the levels from k = n down to 1 and collects the
-canonical cells the top query reaches, each level in a few numpy calls:
-every cell's candidate slots, and the canonical form of its children --
-skip (k-1, u, v), and for each slot t left (k-1, u, t-1) and right
-(k-1, t+1, v).  The fill then walks the levels upwards; a level's
-(cell, slot) pairs are gathered in blocks of about 1 MiB and combined by
-max-plus convolution, one whole-array step per h.  The value table is
+canonical cells the top query reaches: every cell's candidate slots, and
+the canonical form of its children -- skip (k-1, u, v), and for each
+slot t left (k-1, u, t-1) and right (k-1, t+1, v).  It works in rank
+space: a cell carries the ranks of its u and v in the sorted grids of
+canonical values, a child's other end is a slot index, and every lookup
+-- the releases around a window, its canonical u, the rank of its v,
+job k's candidate slots -- is a gather from tables built once per
+instance.  A left child depends on u and t alone and a right one on t
+and v alone, so a level canonicalizes each distinct child once, and its
+pairs read their rows from those.
+The fill then walks the levels upwards.  The value table is
 budget-major, one row of cells per budget, so every step runs along a
 contiguous row of pairs rather than along a budget vector of at most a
-few entries.  The pairs are gathered with ``take(..., axis=1)``, which
-keeps that layout; ``val[:, rows]`` would hand back the pair axis
-outermost and strided.  An infeasible entry is -2**62, so it never
-combines into a feasible one while the total weight stays below 2**62;
-coordinates must lie strictly inside +-2**62 too.
+few entries.  A level's child rows are one int32 array: skip for every
+cell, then left and right for every (cell, slot) pair.  A level of at
+most about 1 MiB of pairs gathers all their values with one
+``take(..., axis=1)``, which keeps that layout (``val[:, rows]`` would
+hand back the pair axis outermost and strided), combines each pair's
+halves by max-plus convolution, one whole-array step per h, and takes
+each cell's best slot with one ``maximum.reduceat``.  A larger level
+goes in blocks of about 1 MiB that end on cell boundaries, so each block
+finishes its cells.  A cell with more pairs than a block -- one wide
+window can hold O(n^2) slots -- is cut into pieces whose maxima merge.
+An infeasible entry is -2**62, so it never combines into a feasible one
+while the total weight stays below 2**62; coordinates must lie strictly
+inside +-2**62 too.
 Reconstruction walks down from the top cell with an explicit stack and
 re-derives each choice from the values, so no choice is stored: skip
 wins every tie, then the first slot, then the first left budget h.
@@ -62,8 +75,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (INTEGER, Constraints, Instance, Schedule, certify,
-                   edf_max_throughput, require_normalized, require_table_fits)
+from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
+                   require_count, require_normalized, require_table_fits)
 from .errors import GapSchedError, InfeasibleError
 
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
@@ -80,6 +93,14 @@ def _ranges(starts, counts):
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
+def _distinct(a):
+    """The distinct values of ``a``, ascending, sorting ``a`` in place: a
+    sort and a mask, several times faster here than ``np.unique``, which
+    hashes first."""
+    a.sort()
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 class _Windows:
     """The candidate slots, canonical cells and children of the DP for one
     non-empty instance, whatever the budget and weights."""
@@ -90,98 +111,166 @@ class _Windows:
         self.n = n = len(jobs)
         if any(not -_LIMIT < x < _LIMIT for j in jobs for x in (j.release, j.deadline)):
             raise GapSchedError("coordinates must lie strictly inside +-2**62")
-        self.release = np.array([j.release for j in jobs], dtype=np.int64)
-        self.deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
-        self.rank_job = np.argsort(self.release)   # deadline index by release rank
-        self.releases = self.release[self.rank_job]
-        self.log2 = np.array([0] + [x.bit_length() - 1 for x in range(1, n + 1)])
+        release = np.array([j.release for j in jobs], dtype=np.int64)
+        deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
+        self.rank_job = np.argsort(release)   # deadline index by release rank
+        rel = release[self.rank_job]
         # Slots within n + 1 of some release: each release's interval, less
         # the part its predecessor's interval already covers.
         m = n + 1
-        hi = self.releases + m
-        lo = np.concatenate(([self.releases[0] - m],
-                             np.maximum(self.releases[1:] - m, hi[:-1] + 1)))
+        hi = rel + m
+        lo = np.concatenate(([rel[0] - m], np.maximum(rel[1:] - m, hi[:-1] + 1)))
         counts = np.maximum(hi - lo + 1, 0)
         require_table_fits("throughput candidate slots", int(counts.sum()) * 8)
-        self.slots = _ranges(lo, counts)
+        slots = self.slots = _ranges(lo, counts)
+        # The grids and the lookup tables below: about ten int64 per slot.
+        require_table_fits("throughput windows", 80 * (len(slots) + n))
         # Every canonical u is a release or the slot before one; every
         # canonical v is a slot - 1, a deadline + 1, or the top query's end.
-        self.ugrid = np.unique(np.concatenate((self.releases - 1, self.releases)))
-        self.vgrid = np.unique(np.concatenate((self.slots - 1, self.deadline + 1)))
-        self.nu, self.nv = len(self.ugrid), len(self.vgrid)
+        ugrid = self.ugrid = _distinct(np.concatenate((rel - 1, rel)))
+        vgrid = self.vgrid = _distinct(np.concatenate((slots - 1, deadline + 1)))
+        self.nu, self.nv = len(ugrid), len(vgrid)
         if (n + 1) * self.nu * self.nv >= 1 << 63:
             raise GapSchedError(f"{n} jobs over {self.nv} window ends: too many windows")
-        self.u0 = int(self.releases[0]) - 1
-        self.v0 = int(self.deadline.max()) + 1
+        # Discovery works in rank space, and each lookup of a window is a
+        # gather from the tables below.  A window starts at a u-rank x < nu,
+        # or at nu + s for the start t + 1 after slot t = slots[s]; it ends
+        # at a v-rank y < nv, or at nv + s for the end t - 1 before slot s.
+        begin = np.concatenate((ugrid, slots + 1))
+        end = np.concatenate((vgrid, slots - 1))
+        # first: the rank of the first release at or after the start (n if
+        # none); past: the number of releases at or before the end.
+        self.first = rel.searchsorted(begin)
+        self.past = rel.searchsorted(end, side="right")
+        # The canonical u of a start is the start itself when it is a
+        # release, else the slot before the next release.  A start past
+        # every release gets the last release's, and its windows hold no job.
+        nxt = rel[np.minimum(self.first, n - 1)]
+        cu = np.where(nxt == begin, begin, nxt - 1)
+        self.canon_u = ugrid.searchsorted(cu)
+        # A window is empty when its end's v-rank lies below empty_v, and
+        # holds no job when its canonical v's rank lies below job_v.
+        self.empty_v = vgrid.searchsorted(begin)
+        self.job_v = vgrid.searchsorted(cu)
+        self.end_v = vgrid.searchsorted(end)  # every end is in vgrid
+        # The v-rank of d + 1 for each deadline index.  The extra last
+        # entry, which index -1 reads, stands for no job: it lies below
+        # every job_v.
+        self.dead_v = np.append(vgrid.searchsorted(deadline + 1), -1)
+        # Job k's candidate slots run from slot index slot_lo[k] up to, not
+        # including, the smaller of slot_hi[k] and slot_end[v-rank].
+        self.slot_lo = slots.searchsorted(release)
+        self.slot_hi = slots.searchsorted(deadline, side="right")
+        self.slot_end = slots.searchsorted(vgrid, side="right")
+        # Where _canon's sparse table answers a range of q release ranks:
+        # row 0 (all -1) for q <= 0, else row 1 + floor(log2 q), read at
+        # the range's start (head) and at its end less 2**floor(log2 q)
+        # (tail), as flat offsets.  Entries n + 1 .. 2n serve q = -n .. -1.
+        self.table_rows = n.bit_length() + 1
+        lg = [q.bit_length() - 1 for q in range(1, n + 1)]
+        self.head = np.array([0] + [(g + 1) * (n + 1) for g in lg] + [0] * n)
+        self.tail = np.array([0] + [(g + 1) * (n + 1) - (1 << g) for g in lg] + [0] * n)
+        self.top = (0, int(vgrid.searchsorted(deadline.max() + 1)))
         self._discover()
 
     # -- canonicalization ---------------------------------------------------
-    def _canon(self, k: int, u, v):
-        """Canonical forms (k', u', v') of the windows (k, u[i], v[i]).  k' is
-        -1 for an empty window (u > v) and 0 for one that holds none of the
-        first k jobs, or only collapsed ones; u' and v' only mean something
-        where k' > 0."""
-        rel, n = self.releases, self.n
-        i = rel.searchsorted(u)
-        j = rel.searchsorted(v, side="right")
-        # Sparse table: row l, column p is the largest deadline index below
-        # k among release ranks [p, p + 2**l), or -1.
-        table = np.full((int(self.log2[n]) + 1, n), -1, dtype=np.int64)
-        table[0] = np.where(self.rank_job < k, self.rank_job, -1)
-        for lv in range(1, len(table)):
-            w = 1 << (lv - 1)
+    def _canon(self, k: int, x, y):
+        """Canonical forms (k', u-rank, v-rank) of the windows from start x[i]
+        to end y[i] over the first k jobs, in the index spaces above.  k' is
+        -1 for an empty window and 0 for one that holds none of the first k
+        jobs, or only collapsed ones; the ranks only mean something where
+        k' > 0."""
+        n = self.n
+        i, j = self.first[x], self.past[y]
+        # Sparse table: row l + 1, column p is the largest deadline index
+        # below k among release ranks [p, p + 2**l), or -1; row 0 and
+        # column n are -1.
+        table = np.full((self.table_rows, n + 1), -1, dtype=np.int64)
+        table[1, :n] = np.where(self.rank_job < k, self.rank_job, -1)
+        for lv in range(2, self.table_rows):
+            w = 1 << (lv - 2)
             np.maximum(table[lv - 1, :n - 2 * w + 1], table[lv - 1, w:n - w + 1],
                        out=table[lv, :n - 2 * w + 1])
-        lv = self.log2[np.maximum(j - i, 1)]
-        ic = np.minimum(i, n - 1)
-        last = np.maximum(table[lv, ic], table[lv, j - (1 << lv)])
-        last = np.where(j > i, last, -1)
+        table = table.ravel()
+        q = j - i
+        last = np.maximum(table.take(self.head[q] + i), table.take(self.tail[q] + j))
         # Deadlines increase with the index, so the last job has the latest.
         # If even that one ends before u', every job inside is collapsed
         # (released after its deadline) and the window is one idle gap.
-        cu = np.where(rel[ic] == u, u, rel[ic] - 1)
-        cv = np.minimum(v, self.deadline[last] + 1)
-        return np.where(u > v, -1, np.where(cv < cu, 0, last + 1)), cu, cv
+        v = self.end_v[y]
+        cv = np.minimum(v, self.dead_v[last])
+        ck = np.where(v < self.empty_v[x], -1,
+                      np.where(cv < self.job_v[x], 0, last + 1))
+        return ck, self.canon_u[x], cv
 
-    def _keys(self, k: int, u, v):
-        """One int64 per canonical window of (k, u[i], v[i]), ordered by
+    def _keys(self, k: int, x, y):
+        """One int64 per canonical window of (k, x[i], y[i]), ordered by
         (k', u', v'); the base windows get -2 (empty) and -1 (no job)."""
-        ck, cu, cv = self._canon(k, u, v)
-        key = ((ck * self.nu + self.ugrid.searchsorted(cu)) * self.nv
-               + self.vgrid.searchsorted(cv))
-        return np.where(ck > 0, key, ck - 1)
+        ck, cu, cv = self._canon(k, x, y)
+        return np.where(ck > 0, (ck * self.nu + cu) * self.nv + cv, ck - 1)
 
     # -- the DP --------------------------------------------------------------
     def _discover(self):
         """Collect the canonical cells the top query reaches, level by level
         from k = n down, with their children's rows."""
-        per_level = self.nu * self.nv
-        top = self._keys(self.n, np.array([self.u0]), np.array([self.v0]))
-        # Keys of the cells found but not yet expanded, sorted, so the
-        # highest level's cells are the tail.
-        pool = top[top >= 0]
+        nu, nv = self.nu, self.nv
+        per_level = nu * nv
+        top = self._keys(self.n, *(np.array([r]) for r in self.top))
+        # Keys of the cells found but not yet expanded, by level: each
+        # level's list holds sorted runs, one from each level that found it.
+        pending = {}
+
+        def found(keys):  # sorted, distinct, none of them a base window
+            level = keys // per_level
+            cuts = [0] + ((level[1:] != level[:-1]).nonzero()[0] + 1).tolist() + [len(keys)]
+            for a, b in zip(cuts, cuts[1:]):
+                if a < b:
+                    pending.setdefault(int(level[a]), []).append(keys[a:b])
+
+        found(top[top >= 0])
         levels = []
         stored = 0
-        while len(pool):
-            k = int(pool[-1] // per_level)
-            cut = int(pool.searchsorted(k * per_level))
-            keys, pool = pool[cut:], pool[:cut]
-            rest = keys - k * per_level
-            u = self.ugrid[rest // self.nv]
-            v = self.vgrid[rest % self.nv]
-            # Candidate slots of job k: slots in [r_k, min(d_k, v)].
-            lo = int(self.slots.searchsorted(self.release[k - 1]))
-            hi = self.slots.searchsorted(np.minimum(self.deadline[k - 1], v), side="right")
-            counts = np.maximum(hi - lo, 0)
-            npairs = int(counts.sum())
-            stored += 8 * (2 * len(keys) + 2 * npairs)  # keys and child keys
+        for k in range(self.n, 0, -1):
+            if k not in pending:
+                continue
+            runs = pending.pop(k)  # each sorted and distinct already
+            keys = runs[0] if len(runs) == 1 else _distinct(np.concatenate(runs))
+            ncell = len(keys)
+            u, v = np.divmod(keys - k * per_level, nv)
+            # Candidate slots of job k: slots in [r_k, min(d_k, v)], so a
+            # cell's count depends on v alone and grows with it.
+            lo = int(self.slot_lo[k - 1])
+            counts = np.maximum(np.minimum(self.slot_end[v], self.slot_hi[k - 1]) - lo, 0)
+            bounds = np.concatenate(([0], counts.cumsum()))
+            # A left child (u, t - 1) depends on u and t alone, and a right
+            # child (t + 1, v) on t and v alone, so each is canonicalized
+            # once: a u over the slots of its cell with the most, the last of
+            # its run since cells go by (u, v), and a v over its own slots.
+            # Each u-rank, then each v-rank from the level's least, gets a
+            # run of children; the v-ranks lie in job k's window, far fewer
+            # than nv when releases are far apart.
+            last = np.concatenate((u[1:] != u[:-1], [True])).nonzero()[0]
+            v0 = int(v.min())
+            side = v + (nu - v0)  # the run of each cell's right children
+            width = np.zeros(int(side.max()) + 1, dtype=np.int64)
+            width[u[last]] = counts[last]
+            width[side] = counts
+            start = width.cumsum() - width
+            lsum, total = int(start[nu]), int(start[-1] + width[-1])
+            # Keys, bounds, children and where they start; the level's rows.
+            stored += 8 * (4 * ncell + total) + 4 * (ncell + 2 * int(bounds[-1]))
             require_table_fits("throughput windows", stored)
-            cell = np.repeat(np.arange(len(keys)), counts)
-            t = self.slots[lo + _ranges(np.zeros_like(counts), counts)]
-            children = self._keys(k - 1, np.concatenate((u, u[cell], t + 1)),
-                                  np.concatenate((v, t - 1, v[cell])))
-            pool = np.unique(np.concatenate((pool, children[children >= 0])))
-            levels.append((k, keys, lo, counts, children))
+            t = np.arange(total) - start.repeat(width)  # slot index, less lo
+            whose = np.arange(len(width)).repeat(width)  # u-rank, or v-rank + nu - v0
+            children = self._keys(
+                k - 1, np.concatenate((u, whose[:lsum], t[lsum:] + (nu + lo))),
+                np.concatenate((v, t[:lsum] + (nv + lo), whose[lsum:] + (v0 - nu))))
+            found(_distinct(children[children >= 0]))
+            # Where each cell's left and right children start, less the index
+            # of its first pair.
+            head = ncell - bounds[:-1]
+            lbase, rbase = head + start[u], head + start[side]
+            levels.append((k, keys, lo, bounds, children, lbase, rbase))
         all_keys = np.concatenate([lvl[1] for lvl in reversed(levels)] + [top[:0]])
 
         def rows(keys):
@@ -191,14 +280,14 @@ class _Windows:
         self.levels = []
         first = 2
         while levels:
-            k, keys, lo, counts, children = levels.pop()
-            ends = np.cumsum(counts)
-            busy = np.flatnonzero(counts)
-            ncell, npairs = len(keys), int(ends[-1])
-            r = rows(children)
-            self.levels.append(_Level(k, first, lo, busy, (ends - counts)[busy],
-                                      ends[busy], r[:ncell], r[ncell:ncell + npairs],
-                                      r[ncell + npairs:]))
+            k, keys, lo, bounds, children, lbase, rbase = levels.pop()
+            ncell = len(keys)
+            counts = bounds[1:] - bounds[:-1]
+            pair = np.arange(int(bounds[-1]))
+            got = rows(children)
+            self.levels.append(_Level(k, first, ncell, lo, bounds, np.concatenate((
+                got[:ncell], got[lbase.repeat(counts) + pair],
+                got[rbase.repeat(counts) + pair]))))
             first += ncell
         self.nrows = first
         self.top_row = int(rows(top)[0])
@@ -211,17 +300,57 @@ class _Windows:
 
 
 class _Level(NamedTuple):
-    """One level's cells: rows first .. first + len(skip) - 1 of the table."""
+    """One level's cells: rows first .. first + ncell - 1 of the table.
+
+    Every cell of a level has a candidate slot, since its window holds job
+    k's release, unless job k is collapsed; then no cell has one."""
 
     k: int
     first: int
-    lo: int             # index in ``slots`` of every cell's first slot
-    busy: np.ndarray    # the cells with at least one slot, ascending
-    starts: np.ndarray  # where each busy cell's pairs start
-    ends: np.ndarray    # and end
-    skip: np.ndarray    # row of (k - 1, u, v) for every cell
-    left: np.ndarray    # row of (k - 1, u, t - 1) for every pair
-    right: np.ndarray   # row of (k - 1, t + 1, v) for every pair
+    ncell: int
+    lo: int              # index in ``slots`` of every cell's first slot
+    bounds: np.ndarray   # cell c's pairs are bounds[c] .. bounds[c + 1] - 1
+    rows: np.ndarray     # the children's rows: skip, then left, then right
+
+    @property
+    def skip(self):      # row of (k - 1, u, v) for every cell
+        return self.rows[:self.ncell]
+
+    @property
+    def left(self):      # row of (k - 1, u, t - 1) for every pair
+        return self.rows[self.ncell:self.ncell + int(self.bounds[-1])]
+
+    @property
+    def right(self):     # row of (k - 1, t + 1, v) for every pair
+        return self.rows[self.ncell + int(self.bounds[-1]):]
+
+    def blocks(self, per: int):
+        """The level's fill in blocks of at most ``per`` pairs, as tuples
+        (first column, rows to gather, cells finished, reduceat offsets).
+
+        A block gathers its cells' skip rows, then its pairs' left and right
+        rows, and ends on a cell boundary, so it finishes its cells.  A
+        level of at most ``per`` pairs is one block, which gathers ``rows``
+        itself.  A cell with more than ``per`` pairs is cut: its first
+        pieces finish no cell, and their maxima merge into the first cell of
+        the block holding its last piece."""
+        bounds, npairs = self.bounds, int(self.bounds[-1])
+        if npairs <= per:
+            yield self.first, self.rows, self.ncell, bounds[:-1]
+            return
+        skip, left, right = self.skip, self.left, self.right
+        ends = bounds[1:]
+        c = 0
+        while c < self.ncell:
+            s = int(bounds[c])
+            while ends[c] - s > per:
+                yield 0, np.concatenate((left[s:s + per], right[s:s + per])), 0, [0]
+                s += per
+            c1 = int(ends.searchsorted(s + per, side="right"))
+            e = int(ends[c1 - 1])
+            yield (self.first + c, np.concatenate((skip[c:c1], left[s:e], right[s:e])),
+                   c1 - c, np.maximum(bounds[c:c1] - s, 0))
+            c = c1
 
 
 @dataclass
@@ -246,27 +375,41 @@ class _Solver:
         val[:, _EMPTY_WINDOW] = 0
         val[:, _NO_JOB] = 0
         val[0, _NO_JOB] = _INFEASIBLE  # an idle window is one gap
-        block = max(1, _BLOCK_BYTES // (8 * g1))
+        per = max(1, _BLOCK_BYTES // (8 * g1))
+        # Buffers every block reuses: the gathered values, the maxima and the
+        # sums.  A level of at most ``per`` pairs gathers all its rows; a
+        # block of a larger one, at most ``per`` pairs and as many cells.
+        width = max((len(lvl.rows) if lvl.bounds[-1] <= per else 3 * per
+                     for lvl in self.win.levels), default=0)
+        gather = np.empty(g1 * width, dtype=np.int64)
+        most_buf, sum_buf = np.empty((2, g1 * min(width, per)), dtype=np.int64)
         for lvl in self.win.levels:
-            npairs = len(lvl.left)
-            best = np.full((g1, len(lvl.busy)), _INFEASIBLE, dtype=np.int64)
-            for s in range(0, npairs, block):
-                e = min(s + block, npairs)
-                lv = val.take(lvl.left[s:e], axis=1)
-                rv = val.take(lvl.right[s:e], axis=1)
-                # most[g] = max over h of lv[h] + rv[g - h]
-                most = lv[:1] + rv
-                for h in range(1, g1):
-                    np.maximum(most[h:], lv[h:h + 1] + rv[:g1 - h], out=most[h:])
-                # The busy cells holding pairs s..e-1 and their segments.
-                c0, c1 = lvl.ends.searchsorted((s, e - 1), side="right")
-                seg = np.maximum(lvl.starts[c0:c1 + 1] - s, 0)
-                np.maximum(best[:, c0:c1 + 1], np.maximum.reduceat(most, seg, axis=1),
-                           out=best[:, c0:c1 + 1])
-            place = np.where(best >= 0, best + self.weights[lvl.k - 1], _INFEASIBLE)
-            cells = val.take(lvl.skip, axis=1)
-            cells[:, lvl.busy] = np.maximum(cells[:, lvl.busy], place)
-            val[:, lvl.first:lvl.first + len(lvl.skip)] = cells
+            w = self.weights[lvl.k - 1]
+            carry = None  # the maxima of a cut cell's pieces so far
+            for first, rows, nc, seg in lvl.blocks(per):
+                got = gather[:g1 * len(rows)].reshape(g1, len(rows))
+                # Every row is in range, so "clip" changes nothing; it lets
+                # take write straight into the buffer.
+                val.take(rows, axis=1, out=got, mode="clip")
+                cells = got[:, :nc]  # the skip values, then the best of all
+                m = (len(rows) - nc) // 2
+                if m:
+                    lv, rv = got[:, nc:nc + m], got[:, nc + m:]
+                    # most[g] = max over h of lv[h] + rv[g - h]
+                    most = np.add(lv[:1], rv, out=most_buf[:g1 * m].reshape(g1, m))
+                    sums = sum_buf[:g1 * m].reshape(g1, m)
+                    for h in range(1, g1):
+                        np.add(lv[h:h + 1], rv[:g1 - h], out=sums[:g1 - h])
+                        np.maximum(most[h:], sums[:g1 - h], out=most[h:])
+                    best = np.maximum.reduceat(most, seg, axis=1)
+                    if carry is not None:
+                        np.maximum(best[:, :1], carry, out=best[:, :1])
+                    if not nc:
+                        carry = best
+                        continue
+                    carry = None
+                    np.maximum(cells, np.where(best >= 0, best + w, _INFEASIBLE), out=cells)
+                val[:, first:first + nc] = cells
         self.val = val
 
     def values(self) -> tuple[int, ...]:
@@ -291,8 +434,7 @@ class _Solver:
             if best == val[g, lvl.skip[c]]:  # skip wins every tie
                 stack.append((int(lvl.skip[c]), g))
                 continue
-            i = int(lvl.busy.searchsorted(c))  # placing needs a slot: c is busy
-            a, b = int(lvl.starts[i]), int(lvl.ends[i])
+            a, b = int(lvl.bounds[c]), int(lvl.bounds[c + 1])
             left, right = lvl.left[a:b], lvl.right[a:b]
             # sums[h, p] = left value at h + right value at g - h; the first
             # match in (p, h) order is the first slot, then the first h.
@@ -325,10 +467,7 @@ def max_throughput(inst: Instance, gaps: int,
                    weighted: bool = False) -> tuple[int, Schedule]:
     """Best count (or weight) of jobs schedulable with at most ``gaps``
     interior gaps."""
-    if not isinstance(gaps, INTEGER):
-        raise GapSchedError(f"gap budget {gaps!r} is not an integer")
-    if gaps < 0:
-        raise GapSchedError("gap budget must be non-negative")
+    require_count("gap budget", gaps)
     require_normalized(inst)
     if not inst.jobs:
         return 0, Schedule(inst, {})
@@ -346,8 +485,7 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
                             weighted: bool = False) -> tuple[int, Schedule]:
     """Fewest interior gaps among schedules reaching the throughput
     threshold."""
-    if not isinstance(threshold, INTEGER):
-        raise GapSchedError(f"throughput threshold {threshold!r} is not an integer")
+    require_count("throughput threshold", threshold, None)
     require_normalized(inst)
     if threshold <= 0:
         return 0, Schedule(inst, {})
@@ -362,8 +500,8 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
     cap = len(inst.jobs) - 1
     checked = -1  # interior budgets up to here fall short of the threshold
     # The windows are discovered once, so a doubling costs only a fill.  A
-    # fill at interior budget 4 costs about 1.7 fills at 0 on 24-32 jobs and
-    # 3 on 60-80; starting at 1 would take three fills to get there.
+    # fill at interior budget 4 costs about 2.2 fills at 0 on 24-32 jobs and
+    # 2.7 on 60-80; starting at 1 would take three fills to get there.
     win = _windows(inst)
     gaps = min(4, cap)
     while True:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gapsched import core
+from gapsched import core, hitting, oracle, throughput
 from gapsched.core import (
     Constraints,
     Instance,
@@ -445,3 +445,77 @@ class TestCertify:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "GapSchedError"
+
+
+def _witness(out):
+    """A solver's answer as plain values: the value and the witness map."""
+    value, wit = out if isinstance(out, tuple) else (None, out)
+    return value, wit.assignment if isinstance(wit, Schedule) else wit.representatives
+
+
+_TRIO = Instance((Job(0, 0, 0, 2), Job(1, 2, 2, 3), Job(2, 4, 4, 1)))
+_RELEASES = release_instance([0, 0, 1, 3])
+_INTERVALS = [hitting.Interval(i, 3 * i, 3 * i + 1) for i in range(4)]
+# (entry point, its count's name, least legal value or None, rational or not):
+# every public solver that takes a budget, threshold or bound.
+COUNTED = [
+    pytest.param(lambda x: throughput.max_throughput(_TRIO, x), "gap budget", 0, False,
+                 id="max_throughput"),
+    pytest.param(lambda x: throughput.min_gaps_for_throughput(_TRIO, x),
+                 "throughput threshold", None, False, id="min_gaps_for_throughput"),
+    pytest.param(lambda x: hitting.max_hit_budget(_INTERVALS, x), "point budget", 1, False,
+                 id="max_hit_budget"),
+    pytest.param(lambda x: hitting.min_hit_with_throughput(_INTERVALS, x),
+                 "throughput threshold", None, False, id="min_hit_with_throughput"),
+    pytest.param(lambda x: hitting.min_max_flow_cont([0, 0, 1, 3], x), "point budget", 1,
+                 False, id="min_max_flow_cont"),
+    pytest.param(lambda x: hitting.min_points_flow_bound([0, 0, 1, 3], x), "flow bound", 0,
+                 True, id="min_points_flow_bound"),
+    pytest.param(lambda x: oracle.oracle_max_throughput(_TRIO, x), "gap budget", 0, False,
+                 id="oracle_max_throughput"),
+    pytest.param(lambda x: oracle.oracle_min_gaps_throughput(_TRIO, x),
+                 "throughput threshold", None, False, id="oracle_min_gaps_throughput"),
+    pytest.param(lambda x: oracle.oracle_min_total_flow(_RELEASES, x), "gap budget", 0,
+                 False, id="oracle_min_total_flow"),
+    pytest.param(lambda x: oracle.oracle_min_max_flow(_RELEASES, x), "gap budget", 0,
+                 False, id="oracle_min_max_flow"),
+    pytest.param(lambda x: oracle.oracle_min_gaps_total_flow(_RELEASES, x), "flow bound",
+                 0, False, id="oracle_min_gaps_total_flow"),
+    pytest.param(lambda x: oracle.oracle_min_gaps_max_flow(_RELEASES, x), "flow bound", 0,
+                 False, id="oracle_min_gaps_max_flow"),
+    pytest.param(lambda x: oracle.oracle_solve(_TRIO, "max_throughput", gaps=x),
+                 "gap budget", 0, False, id="oracle_solve"),
+]
+
+
+class TestRequireCount:
+    @pytest.mark.parametrize("solve, name, least, rational", COUNTED)
+    @pytest.mark.parametrize("value", [2.5, Fraction(5, 2), True, -1, np.int64(2)],
+                             ids=["float", "fraction", "bool", "negative", "int64"])
+    def test_every_entry_point(self, solve, name, least, rational, value):
+        # A bool is refused everywhere: True is not the count 1.
+        refused = "not rational" if rational else "not an integer"
+        if isinstance(value, bool) or isinstance(value, float) or (
+                isinstance(value, Fraction) and not rational):
+            with pytest.raises(GapSchedError, match=f"{name} .* is {refused}"):
+                solve(value)
+        elif value == -1 and least is not None:
+            with pytest.raises(GapSchedError, match=f"{name} must be"):
+                solve(value)
+        elif value == -1:  # a threshold of at most 0 asks for nothing
+            assert _witness(solve(value)) == (0, {})
+        elif isinstance(value, Fraction):  # a bound may be a fraction
+            assert _witness(solve(value)) == (None, {0: Fraction(5, 2), 1: Fraction(5, 2),
+                                                     2: Fraction(5, 2), 3: Fraction(11, 2)})
+        else:
+            assert _witness(solve(value)) == _witness(solve(2))
+
+    @pytest.mark.parametrize("minimum, value, message", [
+        (0, -1, "gap budget must be non-negative, got -1"),
+        (1, 0, "gap budget must be positive, got 0"),
+        (3, 2, "gap budget must be at least 3, got 2"),
+    ])
+    def test_minimum_message(self, minimum, value, message):
+        core.require_count("gap budget", value + 1, minimum)
+        with pytest.raises(GapSchedError, match=f"^{message}$"):
+            core.require_count("gap budget", value, minimum)

@@ -511,8 +511,9 @@ class TestBudgetGrowth:
                 assert solver.witness(g) == want, (inst, g)
 
     def test_cells_straddling_blocks_merge(self, monkeypatch):
-        # With a few pairs per block, a cell's slots span several blocks,
-        # whose partial maxima must merge into one value and one witness.
+        # With a few pairs per block, a cell with more pairs than a block is
+        # cut into pieces that finish no cell; their maxima must merge into
+        # the block that finishes it, as one value and one witness.
         rng = random.Random(72)
         straddled = 0
         for trial in range(100):
@@ -535,6 +536,32 @@ class TestBudgetGrowth:
                 monkeypatch.undo()
         assert straddled > 150
 
+    def test_mixed_level_cuts_only_the_widest_cell(self, monkeypatch):
+        # Tight jobs 20 slots apart, and job 4, whose window [1, 70] spans
+        # them all.  At job 4's level the cells hold 1 to 54 slots, and only
+        # the cell reaching past its deadline holds 54 (slot 71 lies more
+        # than n + 1 from every release, so no cell ends at 70).  Blocks of
+        # 53 pairs cut that cell alone; the other cells fill whole blocks.
+        # Job 5 weighs nothing, so weighted answers run through the cut cell.
+        jobs = [Job(i, 20 * i, 20 * i) for i in range(4)]
+        inst = Instance(tuple(jobs) + (Job(4, 1, 70, 3), Job(5, 2, 80, 0)))
+        win = throughput._Windows(inst)
+        lvl = next(lvl for lvl in win.levels if win.jobs[lvl.k - 1].id == 4)
+        counts = sorted(np.diff(lvl.bounds).tolist())
+        per = counts[-2]
+        assert counts[-1] > per  # one cell holds the most
+        budget = len(inst.jobs) + 1
+        monkeypatch.setattr(throughput, "_BLOCK_BYTES", per * 8 * (budget + 1))
+        blocks = [(nc, (len(rows) - nc) // 2) for _, rows, nc, _ in lvl.blocks(per)]
+        assert [m for nc, m in blocks if nc == 0] == [per]  # the one cut cell's piece
+        assert sum(nc > 1 for nc, _ in blocks) > 1  # whole cells share blocks
+        for weighted in (False, True):
+            values, witnesses = reference_dp(inst, weighted, budget)
+            solver = throughput._Solver(win, weighted, budget)
+            assert solver.values() == values
+            for g, want in witnesses.items():
+                assert solver.witness(g) == want, (weighted, g)
+
     def test_duality_at_benchmark_scale(self):
         inst = planted_normalized(random.Random(30), 30, 75, reach=1)
         best = [max_throughput(inst, g)[0] for g in range(30)]
@@ -548,14 +575,17 @@ class TestBudgetGrowth:
 class TestCanonicalWindows:
     def test_precomputed_map_matches_rescan(self, monkeypatch):
         # Every window the discovery pass canonicalizes, one by one, against
-        # a rescan of the jobs.
+        # a rescan of the jobs.  Discovery names windows in rank space: a
+        # start is a u-rank or nu + s for slots[s] + 1, an end a v-rank or
+        # nv + s for slots[s] - 1, and the canonical u and v come back as
+        # ranks.
         rng = random.Random(67)
         canon = throughput._Windows._canon
         calls = []
 
-        def recording(self, k, u, v):
-            got = canon(self, k, u, v)
-            calls.append((k, u, v, got))
+        def recording(self, k, x, y):
+            got = canon(self, k, x, y)
+            calls.append((k, x, y, got))
             return got
 
         monkeypatch.setattr(throughput._Windows, "_canon", recording)
@@ -568,13 +598,18 @@ class TestCanonicalWindows:
             calls.clear()
             win = throughput._Windows(inst)  # discovers, whatever is retained
             assert calls
-            for k, us, vs, got in calls:
-                for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+            begin = win.ugrid.tolist() + (win.slots + 1).tolist()
+            end = win.vgrid.tolist() + (win.slots - 1).tolist()
+            for k, xs, ys, got in calls:
+                for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+                    u, v = begin[x], end[y]
                     want = naive_canon(win.jobs, k, u, v)
-                    cell = tuple(int(x[i]) for x in got)
+                    ck, cu, cv = (int(a[i]) for a in got)
                     if want[0] <= 0:  # a base window: only its kind counts
-                        cell, want = cell[:1], want[:1]
-                    assert cell == want, (inst, k, u, v)
+                        assert ck == want[0], (inst, k, u, v)
+                    else:
+                        cell = ck, int(win.ugrid[cu]), int(win.vgrid[cv])
+                        assert cell == want, (inst, k, u, v)
 
 
 @pytest.mark.usefixtures("cold")
