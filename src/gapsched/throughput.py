@@ -44,12 +44,24 @@ each cell's best slot with one ``maximum.reduceat``.  A larger level
 goes in blocks of about 1 MiB that end on cell boundaries, so each block
 finishes its cells.  A cell with more pairs than a block -- one wide
 window can hold O(n^2) slots -- is cut into pieces whose maxima merge.
-An infeasible entry is -2**62, so it never combines into a feasible one
-while the total weight stays below 2**62; coordinates must lie strictly
-inside +-2**62 too.
+Values are int32 when the total weight is below 2**30, with -2**30 for
+infeasible, and int64 otherwise, with -2**62; the total must stay below
+2**62, and coordinates strictly inside +-2**62.  A cell takes the
+maximum of its skip value and each pair's sum plus job k's weight with
+no test of feasibility, because the sign alone decides it:
+- a stored value is never below the sentinel, since each cell is a
+  maximum that includes its skip value (and the base values are 0 and
+  the sentinel);
+- two sentinels sum to exactly the dtype's minimum, so no sum overflows;
+- an infeasible entry is the sentinel plus the weight of some of its
+  cell's jobs, so a sum with an infeasible side, job k's weight added,
+  stays below sentinel + total weight < 0.
+So an entry is feasible exactly when it is >= 0, and ``values()`` maps
+every negative entry to -1.
 Reconstruction walks down from the top cell with an explicit stack and
-re-derives each choice from the values, so no choice is stored: skip
-wins every tie, then the first slot, then the first left budget h.
+re-derives each choice from the values in Python scalars, so no choice
+is stored: skip wins every tie, then the first slot, then the first left
+budget h.  A cell that no choice attains is refused with GapSchedError.
 
 Discovery depends on neither budget nor weights, so every fill
 (``_Solver``) on an instance shares its ``_Windows``.  ``_windows`` retains
@@ -80,7 +92,7 @@ from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
 from .errors import GapSchedError, InfeasibleError
 
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
-_INFEASIBLE = -_LIMIT     # two of them sum to int64's minimum, no lower
+_NARROW = 1 << 30         # totals below it fill int32 values
 _BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (budgets x pairs) block
 _KEEP_BYTES = 64 << 20    # the largest windows ``_windows`` keeps after a call
 _EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
@@ -362,27 +374,36 @@ class _Solver:
     budget: int  # counted-gap budget (boundary gaps included)
 
     def __post_init__(self):
-        self.weights = [j.weight if self.weighted else 1 for j in self.win.jobs]
-        if sum(self.weights) >= _LIMIT:
-            raise GapSchedError(f"total weight {sum(self.weights)} is not below 2**62")
+        self.weights = [int(j.weight) if self.weighted else 1 for j in self.win.jobs]
+        total = sum(self.weights)
+        if total >= _LIMIT:
+            raise GapSchedError(f"total weight {total} is not below 2**62")
+        # Two sentinels sum to the dtype's minimum (see the module docstring).
+        narrow = total < _NARROW
+        self.dtype = np.dtype(np.int32 if narrow else np.int64)
+        self.infeasible = -_NARROW if narrow else -_LIMIT
         self._fill()
 
     def _fill(self):
         """Values of all cells, level by level from k = 1 up."""
         g1 = self.budget + 1
-        require_table_fits("throughput values", self.win.nrows * g1 * 8)
-        val = np.empty((g1, self.win.nrows), dtype=np.int64)
+        dtype = self.dtype
+        require_table_fits("throughput values", self.win.nrows * g1 * dtype.itemsize)
+        val = np.empty((g1, self.win.nrows), dtype=dtype)
         val[:, _EMPTY_WINDOW] = 0
         val[:, _NO_JOB] = 0
-        val[0, _NO_JOB] = _INFEASIBLE  # an idle window is one gap
+        val[0, _NO_JOB] = self.infeasible  # an idle window is one gap
+        # Blocks are sized in 8-byte units whatever the dtype, so a block
+        # holds as many pairs in int32 as in int64 and is cut at the same
+        # cells.
         per = max(1, _BLOCK_BYTES // (8 * g1))
         # Buffers every block reuses: the gathered values, the maxima and the
         # sums.  A level of at most ``per`` pairs gathers all its rows; a
         # block of a larger one, at most ``per`` pairs and as many cells.
         width = max((len(lvl.rows) if lvl.bounds[-1] <= per else 3 * per
                      for lvl in self.win.levels), default=0)
-        gather = np.empty(g1 * width, dtype=np.int64)
-        most_buf, sum_buf = np.empty((2, g1 * min(width, per)), dtype=np.int64)
+        gather = np.empty(g1 * width, dtype=dtype)
+        most_buf, sum_buf = np.empty((2, g1 * min(width, per)), dtype=dtype)
         for lvl in self.win.levels:
             w = self.weights[lvl.k - 1]
             carry = None  # the maxima of a cut cell's pieces so far
@@ -391,37 +412,42 @@ class _Solver:
                 # Every row is in range, so "clip" changes nothing; it lets
                 # take write straight into the buffer.
                 val.take(rows, axis=1, out=got, mode="clip")
-                cells = got[:, :nc]  # the skip values, then the best of all
+                cells = got[:, :nc]  # the skip values
                 m = (len(rows) - nc) // 2
-                if m:
-                    lv, rv = got[:, nc:nc + m], got[:, nc + m:]
-                    # most[g] = max over h of lv[h] + rv[g - h]
-                    most = np.add(lv[:1], rv, out=most_buf[:g1 * m].reshape(g1, m))
-                    sums = sum_buf[:g1 * m].reshape(g1, m)
-                    for h in range(1, g1):
-                        np.add(lv[h:h + 1], rv[:g1 - h], out=sums[:g1 - h])
-                        np.maximum(most[h:], sums[:g1 - h], out=most[h:])
-                    best = np.maximum.reduceat(most, seg, axis=1)
-                    if carry is not None:
-                        np.maximum(best[:, :1], carry, out=best[:, :1])
-                    if not nc:
-                        carry = best
-                        continue
-                    carry = None
-                    np.maximum(cells, np.where(best >= 0, best + w, _INFEASIBLE), out=cells)
-                val[:, first:first + nc] = cells
+                if not m:
+                    val[:, first:first + nc] = cells
+                    continue
+                lv, rv = got[:, nc:nc + m], got[:, nc + m:]
+                # most[g] = max over h of lv[h] + rv[g - h]
+                most = np.add(lv[:1], rv, out=most_buf[:g1 * m].reshape(g1, m))
+                sums = sum_buf[:g1 * m].reshape(g1, m)
+                for h in range(1, g1):
+                    np.add(lv[h:h + 1], rv[:g1 - h], out=sums[:g1 - h])
+                    np.maximum(most[h:], sums[:g1 - h], out=most[h:])
+                best = np.maximum.reduceat(most, seg, axis=1)
+                if carry is not None:
+                    np.maximum(best[:, :1], carry, out=best[:, :1])
+                if not nc:
+                    carry = best
+                    continue
+                carry = None
+                best += w
+                np.maximum(cells, best, out=val[:, first:first + nc])
         self.val = val
 
     def values(self) -> tuple[int, ...]:
         """Best value at every counted budget <= ``budget`` for the whole
         instance, its window padded one slot past both extremes; -1 marks
         a budget no schedule meets."""
-        return tuple(max(int(x), -1) for x in self.val[:, self.win.top_row])
+        return tuple(max(x, -1) for x in self.val[:, self.win.top_row].tolist())
 
     def witness(self, counted_budget: int) -> dict:
         """A schedule attaining ``values()[counted_budget]`` (which must be
-        feasible), rebuilt from the top cell with an explicit stack."""
-        val, win = self.val, self.win
+        feasible), rebuilt from the top cell with an explicit stack.  Each
+        placed job takes the first slot, then the first left budget h, whose
+        split attains its cell; a cell that neither its skip value nor any
+        split attains raises GapSchedError."""
+        at, win = self.val.item, self.win
         out: dict = {}
         stack = [(win.top_row, counted_budget)]
         while stack:
@@ -430,21 +456,32 @@ class _Solver:
                 continue
             lvl = win.levels[bisect.bisect_right(win.firsts, row) - 1]
             c = row - lvl.first
-            best = val[g, row]
-            if best == val[g, lvl.skip[c]]:  # skip wins every tie
-                stack.append((int(lvl.skip[c]), g))
+            best, rows = at(g, row), lvl.rows.item
+            skip = rows(c)
+            if best == at(g, skip):  # skip wins every tie
+                stack.append((skip, g))
                 continue
-            a, b = int(lvl.bounds[c]), int(lvl.bounds[c + 1])
-            left, right = lvl.left[a:b], lvl.right[a:b]
-            # sums[h, p] = left value at h + right value at g - h; the first
-            # match in (p, h) order is the first slot, then the first h.
-            sums = val[:g + 1].take(left, axis=1) + val[g::-1].take(right, axis=1)
-            p, h = divmod(int(np.argmax((sums == best - self.weights[lvl.k - 1]).T)),
-                          g + 1)
-            out[win.jobs[lvl.k - 1].id] = int(win.slots[lvl.lo + p])
-            stack.append((int(right[p]), g - h))
-            stack.append((int(left[p]), h))
+            p, left, right, h = self._split(lvl, c, g, best - self.weights[lvl.k - 1])
+            out[win.jobs[lvl.k - 1].id] = win.slots.item(lvl.lo + p)
+            stack.append((right, g - h))
+            stack.append((left, h))
         return out
+
+    def _split(self, lvl: _Level, c: int, g: int, need: int):
+        """The first slot p of cell c (counted from its first), then the first
+        h, whose left value at h plus right value at g - h is ``need``, as
+        (p, left row, right row, h)."""
+        at, rows = self.val.item, lvl.rows.item
+        a, b = lvl.bounds.item(c), lvl.bounds.item(c + 1)
+        ls = lvl.ncell              # where the pairs' left rows start in rows
+        rs = ls + lvl.bounds.item(-1)  # and their right rows
+        for p in range(a, b):
+            left, right = rows(ls + p), rows(rs + p)
+            for h in range(g + 1):
+                if at(h, left) + at(g - h, right) == need:
+                    return p - a, left, right, h
+        raise GapSchedError(f"no choice attains row {lvl.first + c}'s value at "
+                            f"counted budget {g}")
 
 
 _last = None  # (instance, its _Windows): the one entry _windows keeps

@@ -332,9 +332,9 @@ class TestGuards:
                 max_throughput(inst, 0)
 
     def test_cap_refuses_before_allocating(self, monkeypatch, cold):
-        # An uncapped solve peaks near 1.5 MB; the refusal comes after the
-        # first level's keys, about 20 kB.  Both solves start cold, so
-        # discovery's guards are the ones tried.
+        # An uncapped solve peaks near 1.1 MB.  Both solves start cold, so
+        # discovery's guards are the ones tried: the "throughput windows"
+        # guard on the lookup tables refuses first, before they are built.
         peak, full = refusal_peaks(monkeypatch, "windows", cold)
         assert peak < full // 20, (peak, full)
 
@@ -356,6 +356,56 @@ class TestGuards:
             solve(Instance((Job(0, 0, 0, 1.5), Job(1, 5, 5, 2.5))))
         # Integral types other than int still pass.
         assert solve(Instance((Job(0, 0, 0, 1), Job(1, 5, 5, np.int64(3)))))[0] == expect
+
+
+class TestValueTable:
+    def test_dtype_follows_the_total_weight(self):
+        # Totals below 2**30 fill int32 tables; scaling every weight by K
+        # moves the same instance to int64, and scales every feasible value.
+        rng = random.Random(74)
+        K = 2**28
+        cases = [random_normalized(rng, rng.randint(1, 7), 12, weights=True)
+                 for _ in range(25)]
+        jobs = planted_normalized(rng, 6, 14, 3, max_weight=9).jobs
+        rest = sum(j.weight for j in jobs[:-1])
+        top = Job(jobs[-1].id, jobs[-1].release, jobs[-1].deadline, 2**30 - 1 - rest)
+        cases.append(Instance(jobs[:-1] + (top,)))  # weighs exactly 2**30 - 1
+        wides = 0
+        for inst in cases:
+            if not inst.jobs:
+                continue
+            scaled = Instance(tuple(Job(j.id, j.release, j.deadline, j.weight * K)
+                                    for j in inst.jobs))
+            budget = len(inst.jobs) + 1
+            values, witnesses = reference_dp(inst, True, budget)
+            assert reference_dp(scaled, True, budget) == (
+                tuple(v * K if v >= 0 else -1 for v in values), witnesses)
+            narrow = throughput._Solver(throughput._windows(inst), True, budget)
+            wide = throughput._Solver(throughput._windows(scaled), True, budget)
+            total = sum(j.weight for j in inst.jobs)
+            for solver, weight in ((narrow, total), (wide, total * K)):
+                assert solver.val.dtype == (np.int32 if weight < 2**30 else np.int64)
+            wides += wide.val.dtype == np.int64
+            assert narrow.values() == values, inst
+            assert wide.values() == tuple(v * K if v >= 0 else -1 for v in values)
+            for g, want in witnesses.items():
+                assert narrow.witness(g) == wide.witness(g) == want, (inst, g)
+            for solver in (narrow, wide):
+                assert solver.val.min() >= solver.infeasible
+        assert total == 2**30 - 1 and narrow.val.dtype == np.int32
+        assert wides > 15
+
+    def test_witness_refuses_a_corrupted_table(self):
+        # A top value that no choice attains is refused, not answered with
+        # the first slot.
+        inst = planted_normalized(random.Random(76), 10, 24, 4, max_weight=5)
+        for weighted in (False, True):
+            for g in range(2, 6):
+                solver = throughput._Solver(throughput._windows(inst), weighted, 5)
+                solver.witness(g)  # the intact table has one
+                solver.val[g, solver.win.top_row] += 1
+                with pytest.raises(GapSchedError, match="no choice attains"):
+                    solver.witness(g)
 
 
 class TestEdfMaxThroughput:
