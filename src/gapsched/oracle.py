@@ -1,12 +1,29 @@
 """Exhaustive reference solvers: ground truth for every objective.
 
-Deadline objectives take their values from a suffix DP over
-(slot, scheduled-subset) states, which enumerates every injective
-assignment implicitly.  Release-only flow objectives place jobs in
-release order and share one bottom-up table over (job, slot, gaps left).
-Every table is filled without recursion, and witness schedules are
-rebuilt by a deterministic forward walk over it (busy slots as early as
-possible, jobs by deadline; flow jobs at their first optimal slot).  The
+Deadline objectives share one suffix DP: tables[s][mask, a] is the best
+value the slots from s on can add with the jobs in mask placed and the
+schedule in state a, which enumerates every injective assignment
+implicitly.  Each objective only describes its states: the state after
+an idle slot, the state after a busy slot (or none, where a busy slot is
+not allowed), what a busy slot adds, add or max to combine, min or max
+to choose, and whether only the full mask may finish.  The states are
+
+- gap oracles: 0 = nothing placed yet, 1 = last slot busy, 2 = idle
+  since the last busy slot, where a busy slot closes an interior gap;
+- separation oracle: the run since the last busy slot (0: none yet),
+  saturating at len(slots) + 1;
+- throughput oracles: 3g + p, with g gaps still allowed and p a gap state.
+
+One forward walk rebuilds a witness: each slot takes the first job by
+(deadline, release) whose move keeps the target value, and otherwise
+stays idle.  The gap and separation oracles then schedule the walk's busy
+slots by EDF.  Values are int64 and an unreachable state holds +-2**62;
+any value at least 2**61 from zero counts as unreachable, so the weighted
+oracles refuse a total weight of 2**61 or more.
+
+Release-only flow objectives place jobs in release order and share one
+bottom-up table over (job, slot, gaps left), walked forward to each
+job's first optimal slot.  Every table is filled without recursion.  The
 tests cross-check all of them against literal enumeration on tiny inputs.
 
 Sizes are capped: at most DEFAULT_JOB_CAP jobs over a horizon of at most
@@ -14,6 +31,8 @@ DEFAULT_SLOT_CAP slots, beyond which OracleCapError is raised.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,13 +53,43 @@ def _check_caps(n_jobs: int, span: int):
 
 
 # ---------------------------------------------------------------------------
-# Deadline problems: suffix DP over (slot, subset, last-slot-busy).
+# Deadline problems: one suffix DP over (slot, placed mask, state).
+
+_BAD = 2**62  # an unreachable state's value, negated when maximizing
+_WEIGHT_LIMIT = 2**61  # any value this far from 0 is unreachable
+
+
+class _Spec(NamedTuple):
+    """An objective's states and moves (see the module docstring)."""
+    idle: list[int]  # state after an idle slot
+    busy: list[int]  # state after a busy slot; -1: a busy slot is not allowed
+    cost: list[int]  # what a busy slot adds
+    combine: Callable  # np.add or np.maximum
+    maximize: bool
+    full_only: bool  # only the full mask may finish
+
+
+def _gap_spec(maximize: bool) -> _Spec:
+    return _Spec([0, 2, 2], [1, 1, 1], [0, 0, 1], np.add, maximize, True)
+
+
+def _sep_spec(nslots: int) -> _Spec:
+    top = nslots + 1  # runs this long are final anyway
+    return _Spec([0] + [min(r + 1, top) for r in range(1, top + 1)],
+                 [1] * (top + 1), list(range(top + 1)), np.maximum, False, True)
+
+
+def _throughput_spec(gcap: int) -> _Spec:
+    states = [(g, p) for g in range(gcap + 1) for p in range(3)]
+    return _Spec([3 * g + (0, 2, 2)[p] for g, p in states],
+                 [3 * g + 1 if p < 2 else 3 * g - 2 if g else -1 for g, p in states],
+                 [0] * len(states), np.add, True, False)
+
 
 class _DeadlineDP:
     def __init__(self, inst: Instance):
         if not inst.has_deadlines:
             raise GapSchedError("deadline oracle needs deadlines")
-        self.inst = inst
         self.jobs = inst.by_deadline()
         self.n = len(self.jobs)
         if self.n == 0:
@@ -53,215 +102,89 @@ class _DeadlineDP:
         self.avail = [[j for j in range(self.n)
                        if self.jobs[j].release <= t <= self.jobs[j].deadline]
                       for t in self.slots]
-        m = 1 << self.n
-        idx = np.arange(m)
+        idx = np.arange(1 << self.n)
         self.wo = [idx[(idx >> j) & 1 == 0] for j in range(self.n)]
         self.wb = [w | (1 << j) for j, w in enumerate(self.wo)]
 
-    def _canonical_job(self, candidates):
-        return min(candidates,
-                   key=lambda j: (self.jobs[j].deadline, self.jobs[j].release))
+    def weights(self, weighted: bool) -> list[int]:
+        w = [j.weight if weighted else 1 for j in self.jobs]
+        if sum(w) >= _WEIGHT_LIMIT:
+            raise GapSchedError(f"total weight {sum(w)} is not below 2**61")
+        return w
+
+    def fill(self, spec: _Spec, weights=None) -> None:
+        """tables[s][mask, a]: the best value the slots from s on add to a
+        schedule in state a with the jobs in mask placed.  The last column
+        is a dead state that only a disallowed busy slot leads to."""
+        k = len(spec.idle)
+        best = np.maximum if spec.maximize else np.minimum
+        idle = np.array(spec.idle + [-1])
+        busy = np.array(spec.busy)
+        cost = np.array(spec.cost, dtype=np.int64)
+        self.spec = spec
+        self.w = [0] * self.n if weights is None else weights
+        base = np.full((1 << self.n, k + 1), -_BAD if spec.maximize else _BAD,
+                       dtype=np.int64)
+        base[-1 if spec.full_only else slice(None), :k] = 0
+        self.tables = [base]
+        for s in reversed(range(len(self.slots))):
+            nxt = self.tables[-1]
+            cur = nxt[:, idle]
+            moved = spec.combine(nxt[:, busy], cost)
+            for j in self.avail[s]:
+                src = self.wo[j]
+                cur[src, :k] = best(cur[src, :k], moved[self.wb[j]] + self.w[j])
+            self.tables.append(cur)
+        self.tables.reverse()
+
+    def walk(self, state: int) -> dict:
+        """A witness for tables[0][0, state] as job id -> slot.  Each slot
+        takes the first job, by (deadline, release) as self.jobs is sorted,
+        whose move keeps the target value, and otherwise stays idle."""
+        spec, mask, placed = self.spec, 0, {}
+        for s, slot in enumerate(self.slots):
+            target, nxt = self.tables[s][mask, state], self.tables[s + 1]
+            to = spec.busy[state]
+            for j in self.avail[s]:
+                if not (mask >> j) & 1 and target == self.w[j] + spec.combine(
+                        nxt[mask | 1 << j, to], spec.cost[state]):
+                    placed[self.jobs[j].id] = slot
+                    mask, state = mask | 1 << j, to
+                    break
+            else:
+                state = spec.idle[state]
+                if nxt[mask, state] != target:
+                    raise GapSchedError("deadline oracle walk failed")
+        return placed
 
 
-def _gap_tables(dp: _DeadlineDP, maximize: bool):
-    """suffix[s][mask][prev] = best interior-gap count completing the
-    schedule from slot s on, all jobs outside mask still to place."""
-    m = 1 << dp.n
-    full = m - 1
-    bad = -_INF if maximize else _INF
-    pick = np.maximum if maximize else np.minimum
-    base = np.full((m, 2), bad, dtype=np.int64)
-    base[full, :] = 0
-    tables = [base]
-    gapcost = None
-    for s in range(len(dp.slots) - 1, -1, -1):
-        nxt = tables[-1]
-        cur = np.empty((m, 2), dtype=np.int64)
-        cur[:, 0] = nxt[:, 0]
-        cur[:, 1] = nxt[:, 0]
-        for j in dp.avail[s]:
-            src, dst = dp.wo[j], dp.wb[j]
-            vals = nxt[dst, 1]
-            cur[src, 1] = pick(cur[src, 1], vals)
-            cost = (src != 0).astype(np.int64)
-            cur[src, 0] = pick(cur[src, 0], np.where(np.abs(vals) >= _INF,
-                                                     vals, vals + cost))
-        tables.append(cur)
-    tables.reverse()
-    return tables
-
-
-def _walk_gaps(dp: _DeadlineDP, tables, maximize: bool) -> tuple[int, ...]:
-    mask, prev = 0, 0
-    busy = []
-    for s in range(len(dp.slots)):
-        target = tables[s][mask][prev]
-        chosen = None
-        cands = []
-        for j in dp.avail[s]:
-            if mask & (1 << j):
-                continue
-            cost = 1 if (prev == 0 and mask != 0) else 0
-            v = tables[s + 1][mask | (1 << j)][1]
-            if abs(v) < _INF and v + cost == target:
-                cands.append(j)
-        if cands:
-            chosen = dp._canonical_job(cands)
-        if chosen is not None:
-            busy.append(dp.slots[s])
-            mask |= 1 << chosen
-            prev = 1
-        else:
-            if tables[s + 1][mask][0] != target:
-                raise GapSchedError("gap oracle walk failed")
-            prev = 0
-    return tuple(busy)
-
-
-def _busy_schedule(inst: Instance, busy: tuple[int, ...]) -> Schedule:
+def _full_schedule(inst: Instance, make_spec):
+    """Best value over full schedules, with the EDF witness on the walk's
+    busy slots; make_spec takes the number of slots."""
+    dp = _DeadlineDP(inst)
+    if dp.n == 0:
+        return 0, Schedule(inst, {})
+    dp.fill(make_spec(len(dp.slots)))
+    value = int(dp.tables[0][0, 0])
+    if abs(value) >= _WEIGHT_LIMIT:
+        raise InfeasibleError("no full schedule exists")
+    busy = tuple(dp.walk(0).values())
     sched = edf_schedule_busy_set(inst, busy)
     if sched is None:
         raise GapSchedError(f"oracle busy set {busy} admits no schedule")
-    return sched
-
-
-def _solve_gap_objective(inst: Instance, maximize: bool):
-    dp = _DeadlineDP(inst)
-    if dp.n == 0:
-        return 0, Schedule(inst, {})
-    tables = _gap_tables(dp, maximize)
-    value = int(tables[0][0][0])
-    if abs(value) >= _INF:
-        raise InfeasibleError("no full schedule exists")
-    return value, _busy_schedule(inst, _walk_gaps(dp, tables, maximize))
+    return value, sched
 
 
 def oracle_min_gaps(inst: Instance):
-    return _solve_gap_objective(inst, maximize=False)
+    return _full_schedule(inst, lambda _: _gap_spec(False))
 
 
 def oracle_max_gaps(inst: Instance):
-    return _solve_gap_objective(inst, maximize=True)
-
-
-def _sep_tables(dp: _DeadlineDP):
-    """suffix[s][mask][run] = min achievable max-separation onward; run is
-    the distance to the last busy slot (0: none yet)."""
-    m = 1 << dp.n
-    full = m - 1
-    nslots = len(dp.slots)
-    runs = nslots + 1
-    base = np.full((m, runs + 1), _INF, dtype=np.int64)
-    base[full, :] = 0
-    tables = [base]
-    for s in range(nslots - 1, -1, -1):
-        nxt = tables[-1]
-        cur = np.full((m, runs + 1), _INF, dtype=np.int64)
-        # idle: run 0 stays 0, positive runs grow by one
-        cur[:, 0] = nxt[:, 0]
-        cur[:, 1:runs] = nxt[:, 2:runs + 1]
-        cur[:, runs] = nxt[:, runs]  # saturated; separations this long are final anyway
-        run_cost = np.arange(runs + 1, dtype=np.int64)
-        run_cost[0] = 0
-        for j in dp.avail[s]:
-            src, dst = dp.wo[j], dp.wb[j]
-            vals = nxt[dst, 1][:, None]  # after scheduling, run resets to 1
-            cand = np.maximum(vals, run_cost[None, :])
-            cand = np.where(vals >= _INF, _INF, cand)
-            cur[src, :] = np.minimum(cur[src, :], cand)
-        tables.append(cur)
-    tables.reverse()
-    return tables
+    return _full_schedule(inst, lambda _: _gap_spec(True))
 
 
 def oracle_min_max_gap(inst: Instance):
-    dp = _DeadlineDP(inst)
-    if dp.n == 0:
-        return 0, Schedule(inst, {})
-    tables = _sep_tables(dp)
-    value = int(tables[0][0][0])
-    if value >= _INF:
-        raise InfeasibleError("no full schedule exists")
-    mask, run = 0, 0
-    busy = []
-    nslots = len(dp.slots)
-    runs = nslots + 1
-    for s in range(nslots):
-        target = tables[s][mask][run]
-        cands = []
-        for j in dp.avail[s]:
-            if mask & (1 << j):
-                continue
-            v = tables[s + 1][mask | (1 << j)][1]
-            if v < _INF and max(v, run) == target:
-                cands.append(j)
-        if cands:
-            busy.append(dp.slots[s])
-            mask |= 1 << dp._canonical_job(cands)
-            run = 1
-        else:
-            nrun = 0 if run == 0 else min(run + 1, runs)
-            if tables[s + 1][mask][nrun] != target:
-                raise GapSchedError("separation oracle walk failed")
-            run = nrun
-    return value, _busy_schedule(inst, tuple(busy))
-
-
-def _throughput_tables(dp: _DeadlineDP, weights, gcap: int):
-    """suffix[s][mask][prev][g] = max weight schedulable from slot s with g
-    interior gaps still allowed."""
-    m = 1 << dp.n
-    w = np.asarray(weights, dtype=np.int64)
-    base = np.zeros((m, 2, gcap + 1), dtype=np.int64)
-    tables = [base]
-    for s in range(len(dp.slots) - 1, -1, -1):
-        nxt = tables[-1]
-        cur = np.empty_like(base)
-        cur[:, 0, :] = nxt[:, 0, :]
-        cur[:, 1, :] = nxt[:, 0, :]
-        for j in dp.avail[s]:
-            src, dst = dp.wo[j], dp.wb[j]
-            vals = nxt[dst, 1, :] + w[j]
-            cur[src, 1, :] = np.maximum(cur[src, 1, :], vals)
-            # prev idle: scheduling j opens a gap unless nothing is placed yet;
-            # src is sorted, so the empty mask sits in row 0.
-            gap_vals = np.full_like(vals, -_INF)
-            gap_vals[:, 1:] = vals[:, :-1]
-            gap_vals[0, :] = vals[0, :]
-            cur[src, 0, :] = np.maximum(cur[src, 0, :], gap_vals)
-        tables.append(cur)
-    tables.reverse()
-    return tables
-
-
-def _walk_throughput(dp: _DeadlineDP, tables, weights, g: int) -> dict:
-    mask, prev, budget = 0, 0, g
-    assignment = {}
-    for s in range(len(dp.slots)):
-        target = tables[s][mask][prev][budget]
-        chosen = None
-        cands = []
-        for j in dp.avail[s]:
-            if mask & (1 << j):
-                continue
-            gapflag = 1 if (prev == 0 and mask != 0) else 0
-            if budget - gapflag < 0:
-                continue
-            v = weights[j] + tables[s + 1][mask | (1 << j)][1][budget - gapflag]
-            if v == target:
-                cands.append(j)
-        if cands:
-            chosen = dp._canonical_job(cands)
-            assignment[dp.jobs[chosen].id] = dp.slots[s]
-            gapflag = 1 if (prev == 0 and mask != 0) else 0
-            budget -= gapflag
-            mask |= 1 << chosen
-            prev = 1
-        else:
-            if tables[s + 1][mask][0][budget] != target:
-                raise GapSchedError("throughput oracle walk failed")
-            prev = 0
-    return assignment
+    return _full_schedule(inst, _sep_spec)
 
 
 def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
@@ -269,11 +192,9 @@ def oracle_max_throughput(inst: Instance, gaps: int, weighted: bool = False):
     dp = _DeadlineDP(inst)
     if dp.n == 0:
         return 0, Schedule(inst, {})
-    weights = [j.weight if weighted else 1 for j in dp.jobs]
-    gcap = min(gaps, max(dp.n - 1, 0))
-    tables = _throughput_tables(dp, weights, gcap)
-    value = int(tables[0][0][0][gcap])
-    return value, Schedule(inst, _walk_throughput(dp, tables, weights, gcap))
+    gcap = min(gaps, dp.n - 1)
+    dp.fill(_throughput_spec(gcap), dp.weights(weighted))
+    return int(dp.tables[0][0, 3 * gcap]), Schedule(inst, dp.walk(3 * gcap))
 
 
 def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
@@ -283,14 +204,13 @@ def oracle_min_gaps_throughput(inst: Instance, m: int, weighted: bool = False):
         return 0, Schedule(inst, {})
     if dp.n == 0:
         raise InfeasibleError(f"throughput {m} unreachable on empty instance")
-    weights = [j.weight if weighted else 1 for j in dp.jobs]
-    gcap = max(dp.n - 1, 0)
-    tables = _throughput_tables(dp, weights, gcap)
-    for g in range(gcap + 1):
-        if int(tables[0][0][0][g]) >= m:
-            return g, Schedule(inst, _walk_throughput(dp, tables, weights, g))
-    raise InfeasibleError(f"throughput {m} exceeds maximum "
-                          f"{int(tables[0][0][0][gcap])}")
+    dp.fill(_throughput_spec(dp.n - 1), dp.weights(weighted))
+    # State 3g: nothing placed yet, g gaps allowed (the dead column skipped).
+    values = [int(v) for v in dp.tables[0][0, :-1:3]]
+    for g, v in enumerate(values):
+        if v >= m:
+            return g, Schedule(inst, dp.walk(3 * g))
+    raise InfeasibleError(f"throughput {m} exceeds maximum {values[-1]}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,14 @@ from gapsched.core import Constraints, Instance, Job, gap_stats, validate
 from gapsched.errors import GapSchedError, InfeasibleError, OracleCapError
 from gapsched.oracle import (
     oracle_min_gaps_max_flow,
+    oracle_min_gaps_throughput,
     oracle_min_max_flow,
     oracle_min_total_flow,
     oracle_solve,
 )
 
-from helpers import (enumerate_schedules, make_instance, random_windows,
-                     release_instance)
+from helpers import (enumerate_schedules, make_instance, random_raw_windows,
+                     random_windows, release_instance)
 
 
 def stats_of(inst, assignment):
@@ -125,6 +126,115 @@ class TestThroughputAgainstEnumeration:
                 if g > 0:
                     v2, _ = oracle_solve(inst, "max_throughput", gaps=g - 1)
                     assert v2 < m
+
+
+def measure(inst, a):
+    """(weight, gap count, max separation) of an assignment."""
+    busy = sorted(a.values())
+    steps = [t2 - t1 for t1, t2 in zip(busy, busy[1:])]
+    return (sum(j.weight for j in inst.jobs if j.id in a), sum(d > 1 for d in steps),
+            max(steps, default=0))
+
+
+def enumerate_deadline(inst, full):
+    """(assignment, weight, gap count, max separation) of every schedule."""
+    return [(a, *measure(inst, a)) for a in enumerate_schedules(inst, full=full)]
+
+
+def check_threshold_oracle(inst, scheds, weighted):
+    """oracle_min_gaps_throughput at every threshold 0..total + 1."""
+    def worth(a, w):
+        return w if weighted else len(a)
+    top = max(worth(a, w) for a, w, _, _ in scheds)
+    for m in range(sum(j.weight if weighted else 1 for j in inst.jobs) + 2):
+        if m > top:
+            with pytest.raises(InfeasibleError, match=f"exceeds maximum {top}"):
+                oracle_min_gaps_throughput(inst, m, weighted)
+            continue
+        g, sched = oracle_min_gaps_throughput(inst, m, weighted)
+        assert g == min(gc for a, w, gc, _ in scheds if worth(a, w) >= m)
+        assert validate(sched, inst, Constraints(
+            max_gaps=g, min_throughput=m, weighted=weighted)) == []
+
+
+def check_deadline_oracles(inst, weighted=True):
+    """All five deadline oracles against enumeration, witnesses included."""
+    full = enumerate_deadline(inst, full=True)
+    objectives = [("min_gaps", min, 2), ("max_gaps", max, 2), ("min_max_gap", min, 3)]
+    for name, best, field in objectives:
+        if not full:
+            with pytest.raises(InfeasibleError):
+                oracle_solve(inst, name)
+            continue
+        v, sched = oracle_solve(inst, name)
+        assert v == best(s[field] for s in full)
+        assert validate(sched, inst, Constraints(require_all=True)) == []
+        assert measure(inst, sched.assignment)[field - 1] == v
+    partial = enumerate_deadline(inst, full=False)
+    for g in range(len(inst.jobs) + 1):
+        v, sched = oracle_solve(inst, "max_throughput", gaps=g, weighted=weighted)
+        assert v == max((w if weighted else len(a)) for a, w, gc, _ in partial if gc <= g)
+        assert validate(sched, inst, Constraints(
+            max_gaps=g, min_throughput=v, weighted=weighted)) == []
+    check_threshold_oracle(inst, partial, weighted)
+
+
+class TestDeadlineOracleEdges:
+    def test_weighted_min_gaps_throughput(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            windows = random_windows(rng, rng.randint(1, 4), 7)
+            inst = Instance(tuple(Job(i, r, d, rng.randint(0, 4))
+                                  for i, (r, d) in enumerate(windows)))
+            check_threshold_oracle(inst, enumerate_deadline(inst, full=False), True)
+
+    @pytest.mark.parametrize("windows, separation", [([(0, 0), (15, 15)], 15),
+                                                     ([(0, 3), (12, 15)], 9)],
+                             ids=["forced", "chosen"])
+    def test_separation_spans_sixteen_slots(self, windows, separation):
+        inst = make_instance(windows)
+        assert oracle_solve(inst, "min_max_gap")[0] == separation
+        check_deadline_oracles(inst)
+
+    def test_duplicate_and_collapsed_windows(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            windows = random_raw_windows(rng, rng.randint(1, 4), 6)
+            inst = Instance(tuple(Job(i, r, d, rng.randint(0, 4))
+                                  for i, (r, d) in enumerate(windows)))
+            check_deadline_oracles(inst, weighted=rng.random() < 0.5)
+
+    def test_eight_jobs_at_the_slot_cap(self):
+        inst = Instance(tuple(Job(i, 2 * i, min(2 * i + 2, 15), i % 3)
+                              for i in range(8)))
+        assert max(j.deadline for j in inst.jobs) == oracle.DEFAULT_SLOT_CAP - 1
+        check_deadline_oracles(inst)
+
+
+class TestWeightLimit:
+    """Values are int64 with +-2**62 for unreachable states, so a total
+    weight of 2**61 or more is refused before any table is built."""
+
+    def test_total_weight_at_limit_refused(self):
+        # These calls returned 2**62 with an overflow warning, and a false
+        # InfeasibleError, before the limit.
+        heavy = Instance(tuple(Job(i, i, i + 1, 2**62) for i in range(3)))
+        at_limit = Instance((Job(0, 0, 0, 2**60), Job(1, 2, 2, 2**60)))
+        for inst in (heavy, at_limit):
+            with pytest.raises(GapSchedError, match=r"is not below 2\*\*61"):
+                oracle.oracle_max_throughput(inst, 1, True)
+            with pytest.raises(GapSchedError, match=r"is not below 2\*\*61"):
+                oracle_min_gaps_throughput(inst, 3 * 2**62, True)
+        assert oracle.oracle_max_throughput(heavy, 1)[0] == 3
+
+    def test_total_weight_below_limit_exact(self):
+        inst = Instance((Job(0, 0, 0, 2**60), Job(1, 2, 2, 2**60 - 1)))
+        value, sched = oracle.oracle_max_throughput(inst, 1, True)
+        if value != 2**61 - 1 or len(sched.assignment) != 2:
+            pytest.fail(f"max throughput {value}, witness {sched.assignment}")
+        g, _ = oracle_min_gaps_throughput(inst, 2**61 - 1, True)
+        if g != 1:
+            pytest.fail(f"{g} gaps for the full weight")
 
 
 class TestFlowAgainstEnumeration:
