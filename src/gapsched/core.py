@@ -2,9 +2,9 @@
 
 Unit jobs occupy one integer slot each.  A gap is a maximal run of idle
 slots strictly between the first and last busy slot, so a schedule with
-b blocks has exactly b - 1 gaps.  Everything here is a pure function
-over immutable values; solvers in the sibling modules build on these
-primitives.
+b blocks has exactly b - 1 gaps.  Everything here but ``LevelBlocks``,
+the store that the gap-count DPs fill, is a pure function over immutable
+values; solvers in the sibling modules build on these primitives.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
+
+import numpy as np
 
 from .errors import GapSchedError, InfeasibleError
 
@@ -240,12 +242,55 @@ TABLE_CAP = 1 << 30
 def require_table_fits(what: str, nbytes: int) -> None:
     """Raise GapSchedError when DP tables of ``nbytes`` bytes, named by
     ``what``, exceed TABLE_CAP bytes (1 GiB); solvers call it before
-    allocating them.  min_gaps and max_gaps check their working tables and
-    stored blocks, the throughput DP its slots, windows and values.
+    allocating them.  The gap-count DPs, min_gaps and max_gaps, check their
+    working tables and stored blocks through ``LevelBlocks``, the throughput
+    DP its slots, windows and values.
     """
     if nbytes > TABLE_CAP:
         raise GapSchedError(f"{what} would take {nbytes} bytes, above the "
                             f"cap of {TABLE_CAP} bytes")
+
+
+class LevelBlocks:
+    """The stored levels of a gap-count DP that adds jobs one at a time.
+
+    Level k changes only the windows that hold job k, so only its block is
+    kept: rows 0 .. rows[k] - 1 and columns first[k] .. end[k] - 1, row
+    after row in one flat store.  Level 0, the empty sub-instance, is a
+    block of one column.  Cell (k, u, v) equals cell (j, u, v) for the last
+    job j <= k inside the window, which ``last_inside`` finds from one key
+    per job, and ``cell`` reads block j at column min(v, end[j] - 1): every
+    row of a block is constant from its last column on.  ``rows``,
+    ``first`` and ``end`` are lists with one entry a level, from level 0,
+    and ``keys`` a list with one a job.  The store and the caller's working
+    table of ``work_bytes`` are checked against ``require_table_fits``
+    before the store is allocated.
+    """
+
+    def __init__(self, what: str, dtype, work_bytes: int, keys, rows, first, end):
+        self.keys, self.rows, self.end = keys, rows, end
+        self.width = [e - f for f, e in zip(first, end)]
+        offset = [0, *accumulate(r * w for r, w in zip(rows, self.width))]
+        self.base = [o - f for o, f in zip(offset, first)]    # where cell (k, 0, 0) lies
+        require_table_fits(what, work_bytes + offset[-1] * np.dtype(dtype).itemsize)
+        self.store = np.empty(offset[-1], dtype=dtype)
+
+    def block(self, k: int) -> np.ndarray:
+        """Level k's block, a writable view of the store."""
+        rows, width = self.rows[k], self.width[k]
+        start = self.base[k] + self.end[k] - width      # cell (k, 0, first[k])
+        return self.store[start:start + rows * width].reshape(rows, width)
+
+    def last_inside(self, k: int, lo: int, hi: int) -> int:
+        """The last of the first k jobs whose key lies in [lo, hi], or 0."""
+        while k and not lo <= self.keys[k - 1] <= hi:
+            k -= 1
+        return k
+
+    def cell(self, k: int, u: int, v: int):
+        """Cell (k, u, v) as a Python scalar, read from level k's own block:
+        k must be the last job inside the window."""
+        return self.store.item(self.base[k] + u * self.width[k] + min(v, self.end[k] - 1))
 
 
 START = "__start__"

@@ -18,6 +18,9 @@ closed under the fill's reads, and they hold END's slot, where the top
 query ends: no other end is ever read.  Level k fills only the ends up to
 the first one past d_k and copies that column to the later ends: no job
 of the first k can run past d_k, so every later end holds the same value.
+The working table is sized from the count of these ends, the length of
+the union of the ranges, before they are listed: far-apart long windows
+are refused at O(n) memory.
 
 One int16 working table holds the level being filled.  Level k changes
 only rows u <= r_k from column r_k on, and its block is those rows up to
@@ -33,25 +36,25 @@ slab sums its left and right factors into one buffer of ``_SLAB_BYTES``
 (or of the largest block, if one slot needs more) and raises the block to
 its maximum over the slab.
 
-Only the blocks are kept, in one flat array.  Since level k copies every
-cell outside its block from level k - 1, cell (k, u, v) equals cell
-(j, u, v) for the last job j <= k released inside [u, v], read from block
-j at column min(v, end_j - 1) (every row of the block is constant from its
-last column on); with no job inside it is 1, level 0's one all-idle gap.
-The working table and the blocks, 2 bytes a cell, are checked against
-``core.require_table_fits`` before either is allocated.
+Only the blocks are kept, in a ``core.LevelBlocks`` that holds the read
+rule, keyed by the releases: window [u, v] holds the jobs released in it.
+Level 0 is one column of 1s, the empty window's one all-idle gap.  The
+working table and the blocks, 2 bytes a cell, are checked before either is
+allocated.
 
 The rebuild, ``_rebuild``, re-derives each placed job's slot from these
 values in Python scalars.  It walks the job's candidate slots in the fill's
 order and stops at the first whose split attains the cell's value, so a
 later slot that only ties it never wins.  A slot's left and right windows
 are each read at the last job released inside them, found by stepping
-down from job k - 1 as ``MinGapsTables`` does: at most k - 1 steps a
-window.  A placed job so costs O(n) a slot tried, and at most 3n + 1
-slots; the rebuild is O(n^3) at worst, against the fill's O(n^5).
+down from job k - 1: at most k - 1 steps a window.  A placed job so costs
+O(n) a slot tried, and at most 3n + 1 slots; the rebuild is O(n^3) at
+worst, against the fill's O(n^5).
 
 A value is at most n + 1, so a sum of two fits int16 while n is at most
-``_MAX_JOBS``, sentinels included; a larger n is refused first.
+``_MAX_JOBS``, sentinels included; a larger n is refused first.  Every
+coordinate, sentinels and the 3n span included, must lie strictly inside
++-2**62, so that int64 holds every slot and bound the fill computes.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from .core import (
     START,
     Constraints,
     Instance,
+    LevelBlocks,
     Schedule,
     augment,
     certify,
@@ -87,18 +91,25 @@ def _window_ends(jobs: list, span: int) -> list[int]:
                    for v in range(j.release - 1, min(j.deadline, j.release + span) + 1)})
 
 
+def _count_ends(jobs: list, span: int) -> int:
+    """How many ends ``_window_ends`` lists, from the ranges sorted and
+    merged: each adds its slots past the last end before it."""
+    ranges = sorted((j.release - 1, min(j.deadline, j.release + span)) for j in jobs)
+    count, top = 0, ranges[0][0] - 1
+    for lo, hi in ranges:
+        count += max(0, hi - max(lo - 1, top))
+        top = max(top, hi)
+    return count
+
+
 class _Levels(NamedTuple):
-    """The filled DP: every level's block in one flat store, and the grid
-    and slots the rebuild reads them by."""
+    """The filled DP: every level's block, and the grid and slots the
+    rebuild reads them by."""
 
     jobs: list                  # deadline-sorted, sentinels included
     ug: np.ndarray              # window starts u, ascending
     vg: np.ndarray              # window ends v, ascending
-    rel: np.ndarray             # rel[k - 1]: release of job k
-    base: np.ndarray            # cell (k, u, v) at base[k] + u * width[k] + v
-    width: np.ndarray
-    end: np.ndarray             # one past level k's last stored column
-    store: np.ndarray           # int16, every level's block
+    blocks: LevelBlocks         # keyed by the releases
     slots: list                 # slots[k]: rows t, column, split column, right row
 
 
@@ -107,30 +118,19 @@ def _fill(jobs: list) -> _Levels:
     block."""
     n = len(jobs)
     span = 3 * n
-    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}),
-                  dtype=np.int64)
+    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}), np.int64)
+    require_table_fits("max_gaps working table", len(ug) * _count_ends(jobs, span) * 2)
     vg = np.array(_window_ends(jobs, span), dtype=np.int64)
     nu, nv = len(ug), len(vg)
-    rel = np.array([j.release for j in jobs], dtype=np.int64)
-    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    rel = [j.release for j in jobs]
 
-    # Level k's block, k >= 1: rows u <= r_k and columns first[k] to
-    # end[k] - 1, from r_k to the first end past d_k (or the last end), at
-    # offset[k] in one flat store.  Entry 0 is level 0: one stored cell, 1,
-    # that every window reads (row width 0, last column 0).
-    rows = np.concatenate(([0], np.searchsorted(ug, rel, side="right")))
-    first = np.concatenate(([0], np.searchsorted(vg, rel)))
-    last = np.concatenate(([0], np.searchsorted(vg, dl + 1)))
-    end = np.minimum(last + 1, nv)
-    width = end - first
-    width[0] = 0
-    sizes = rows * width
-    sizes[0] = 1
-    offset = np.concatenate(([0], np.cumsum(sizes)))
-    require_table_fits("max_gaps working table and blocks",
-                       (nu * nv + int(offset[-1])) * 2)
-    store = np.empty(int(offset[-1]), dtype=np.int16)
-    store[0] = 1
+    # Level k's block: rows u <= r_k and columns from r_k through the first
+    # end past d_k (or the last end).  Level 0's: every row, one column.
+    rows = [nu] + ug.searchsorted(rel, side="right").tolist()
+    end = [1] + np.minimum(vg.searchsorted([j.deadline + 1 for j in jobs]) + 1, nv).tolist()
+    blocks = LevelBlocks("max_gaps working table and blocks", np.int16, nu * nv * 2,
+                         rel, rows, [0] + vg.searchsorted(rel).tolist(), end)
+    blocks.block(0)[...] = 1
     # The releases with a bound on either side, below every slot and past
     # every end: its first k + 1 entries bound the releases of jobs < k.
     bounded = np.concatenate(([ug[0] - 1, vg[-1] + 2], rel))
@@ -150,19 +150,19 @@ def _fill(jobs: list) -> _Levels:
         # Job k's slots are consecutive ends from r_k's column on, and the
         # row of nxt - 1 is the one before nxt's.  A slot with no next
         # release splits past every column, so its row is never read.
-        tcol = first[k] + (ts - jk.release)
+        tcol = vg.searchsorted(jk.release) + (ts - jk.release)
         return np.array((ts, tcol, vg.searchsorted(nxt),
                          ug.searchsorted(nxt) - (nxt > ts + 1)))
 
     # cur[u][v] is the current level k, filled in place; level 0 is the
     # empty sub-instance: one all-idle gap.
     cur = np.ones((nu, nv), dtype=np.int16)
-    buf = np.empty(max(_SLAB_BYTES // 2, int(sizes[1:].max())), dtype=np.int16)
+    buf = np.empty(max(_SLAB_BYTES // 2, *np.multiply(rows, blocks.width)), np.int16)
     slots = [None]
     for k in range(1, n + 1):
-        rk, c0, ck = rows[k], first[k], end[k]
         slots.append(candidates(k))
         ts, tcol, split, rrow = slots[k]
+        rk, c0, ck = rows[k], tcol[0], end[k]
         # Left factors over u, window [u, t - 1] (t - 1 is the column before
         # t's), read before this level overwrites them.  The first slot is
         # r_k, and the window [r_k, r_k - 1] in the last row is empty.
@@ -185,9 +185,9 @@ def _fill(jobs: list) -> _Levels:
             np.add(lefts[s:e, :, None], rights[s:e, None, cs - c0:], out=tmp)
             np.maximum(block, tmp.max(axis=0), out=block)
             s = e
-        cur[:rk, ck:] = cur[:rk, last[k]:ck]
-        store[offset[k]:offset[k + 1]].reshape(rk, ck - c0)[...] = cur[:rk, c0:ck]
-    return _Levels(jobs, ug, vg, rel, offset[:-1] - first, width, end, store, slots)
+        cur[:rk, ck:] = cur[:rk, ck - 1:ck]
+        blocks.block(k)[...] = cur[:rk, c0:ck]
+    return _Levels(jobs, ug, vg, blocks, slots)
 
 
 def _rebuild(levels: _Levels) -> tuple[int, dict]:
@@ -197,19 +197,8 @@ def _rebuild(levels: _Levels) -> tuple[int, dict]:
     one, taken first (pushed last).  A window is solved by the last job
     released inside it: the top one by END.
     """
-    jobs, store, slots = levels.jobs, levels.store, levels.slots
-    ug, vg, rel = levels.ug.tolist(), levels.vg.tolist(), levels.rel.tolist()
-    base, width, end = levels.base.tolist(), levels.width.tolist(), levels.end.tolist()
-
-    def last_inside(k: int, lo: int, hi: int) -> int:
-        """The last of the first k jobs released inside [lo, hi], or 0."""
-        while k and not lo <= rel[k - 1] <= hi:
-            k -= 1
-        return k
-
-    def cell(j: int, u: int, v: int) -> int:
-        """Value of cell (j, u, v), j the last job inside its window."""
-        return store.item(base[j] + u * width[j] + min(v, end[j] - 1))
+    jobs, slots, ug, vg = levels.jobs, levels.slots, levels.ug.tolist(), levels.vg.tolist()
+    last_inside, cell, end = levels.blocks.last_inside, levels.blocks.cell, levels.blocks.end
 
     def place(k: int, u: int, v: int) -> tuple[int, ...]:
         """Job k's slot in cell (k, u, v): the first, as the fill met them,
@@ -261,6 +250,9 @@ def max_gaps(inst: Instance) -> tuple[int, Schedule]:
     if len(jobs) > _MAX_JOBS:
         raise GapSchedError(f"{len(jobs)} jobs (sentinels included), above the "
                             f"int16 limit of {_MAX_JOBS}")
+    lo, hi = jobs[0].release - 1, jobs[-1].release + 3 * len(jobs)
+    if not (-2**62 < lo and hi < 2**62):
+        raise GapSchedError(f"coordinates {lo}..{hi}, 3n span included, not inside +-2**62")
     value, assignment = _rebuild(_fill(jobs))
     sched = Schedule(inst, {j: t for j, t in assignment.items()
                             if j not in (START, END)})

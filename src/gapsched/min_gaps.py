@@ -40,15 +40,14 @@ edge_f[c].  Its left factor is gap + c + 1 and its tail is ``cur``'s key of
 a tail with c >= b never wins.  The stored block is the level's minimum
 with its split field; ``cur`` takes it with the field cleared.
 
-Only the blocks are kept: ``blocks[k]`` is level k's block, p_k x
-(n - p_k - 1) keys, and the ranks p_k run over 0 .. n - 1, so all of them
-take n(n - 1)(n - 2)/6 cells.  Since level k copies every cell outside its
-block from level k - 1, cell (k, a, b) equals cell (j, a, b) for the last
-job j <= k inside the window, which ``cell`` reads from block j; with no
-job inside it is the empty window's key, level 0's.  The working table and
-the blocks, 8 bytes a cell, are checked against ``core.require_table_fits``
-before anything is allocated.  ``gaps``, ``stretch`` and ``choice`` expand
-the blocks to every level in full, for audits only.  Every coordinate,
+Only the blocks are kept, in a ``core.LevelBlocks`` that holds the read
+rule: level k's block is p_k x (n - p_k - 1) keys, and the ranks p_k run
+over 0 .. n - 1, so all of them take n(n - 1)(n - 2)/6 cells.  Level 0 is
+the empty window's key of each row a, one column.  The keys of the rule
+are the release ranks, so window (a, b) holds the ranks [a + 1, b - 1].
+The working table and the blocks, 8 bytes a cell, are checked before
+anything is allocated.  ``gaps``, ``stretch`` and ``choice`` expand the
+blocks to every level in full, for audits only.  Every coordinate,
 sentinel jobs included, must lie strictly inside +-2**31 (the key's
 stretch field), and there may be at most 2047 jobs, sentinels included
 (its split-rank field).
@@ -66,12 +65,12 @@ from .core import (
     Constraints,
     Instance,
     Job,
+    LevelBlocks,
     Schedule,
     augment,
     certify,
     edf_schedule_busy_set,
     require_normalized,
-    require_table_fits,
 )
 from .errors import GapSchedError
 
@@ -114,32 +113,21 @@ class MinGapsTables:
     jobs: list[Job]              # deadline-sorted, sentinels included
     rank_release: np.ndarray     # release of the p-th smallest release
     job_rank: list[int]          # release rank of deadline index j
-    blocks: list[np.ndarray]     # blocks[k][a, b - p_k - 1]; blocks[0] is empty
-
-    def _last_inside(self, k: int, a: int, b: int) -> int:
-        """The last of the first k jobs released strictly inside window
-        (a, b), or 0 if none is."""
-        while k > 0 and not (a < self.job_rank[k - 1] < b):
-            k -= 1
-        return k
+    blocks: LevelBlocks          # keyed by job_rank
 
     def cell(self, k: int, a: int, b: int) -> int:
-        """Key of cell (k, a, b)."""
-        k = self._last_inside(k, a, b)
-        if k == 0:
-            return _order_key(0, int(self.rank_release[a]), -1)
-        return int(self.blocks[k][a, b - self.job_rank[k - 1] - 1])
+        """Key of cell (k, a, b): the block of the last job inside (a, b)."""
+        return self.blocks.cell(self.blocks.last_inside(k, a + 1, b - 1), a, b)
 
     def _levels(self, outside=None) -> np.ndarray:
         """Keys of every level in full, (n + 1, n, n).  A cell outside level
-        k's block holds level k - 1's key, or ``outside`` if given."""
+        k's block holds level k - 1's key, or ``outside`` if given; level 0's
+        one column fills every b."""
         n = len(self.jobs)
-        keys = np.empty((n + 1, n, n), dtype=np.int64)
-        keys[0] = _order_key(0, self.rank_release, -1)[:, None]
-        for k in range(1, n + 1):
-            pk = self.job_rank[k - 1]
+        keys = np.zeros((n + 1, n, n), dtype=np.int64)
+        for k, block in enumerate(map(self.blocks.block, range(n + 1))):
             keys[k] = keys[k - 1] if outside is None else outside
-            keys[k, :pk, pk + 1:] = self.blocks[k]
+            keys[k, :len(block), self.blocks.end[k] - block.shape[1]:] = block
         return keys
 
     @property
@@ -171,7 +159,7 @@ class MinGapsTables:
         while todo:
             close, k, a, b = todo.pop()
             if not close:
-                k = self._last_inside(k, a, b)
+                k = self.blocks.last_inside(k, a + 1, b - 1)
                 if k == 0:
                     done.append(())
                     continue
@@ -232,21 +220,18 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     if n > _MAX_JOBS:
         raise GapSchedError(f"{n} jobs (sentinels included), above the "
                             f"limit of {_MAX_JOBS}")
-    # The working table, and the blocks: sum of p(n - 1 - p) over the
-    # release ranks p = 0 .. n - 1, n(n - 1)(n - 2)/6 cells.
-    require_table_fits("min_gaps tables", (n * n + n * (n - 1) * (n - 2) // 6) * 8)
-
     by_release = sorted(range(n), key=lambda j: jobs[j].release)
-    job_rank = [0] * n
-    for p, j in enumerate(by_release):
-        job_rank[j] = p
+    job_rank = np.argsort(by_release).tolist()
+    # Level k's block: rows a < p_k, columns b > p_k; level 0's: every row,
+    # one column.
+    blocks = LevelBlocks("min_gaps tables", np.int64, n * n * 8, job_rank, [n] + job_rank,
+                         [0] + [p + 1 for p in job_rank], [1] + [n] * n)
     rank_release = np.array([jobs[j].release for j in by_release], dtype=np.int64)
 
     # Level 0: every window (a, b), a < b, is empty, its stretch the release
     # r_a; the cells a >= b are no window, _FAR.
-    cur = np.where(np.triu(np.ones((n, n), dtype=bool), 1),
-                   _order_key(0, rank_release, -1)[:, None], _FAR)
-    blocks = [np.empty((0, n - 1), dtype=np.int64)]
+    blocks.block(0)[:, 0] = _order_key(0, rank_release, -1)
+    cur = np.where(np.triu(np.ones((n, n), dtype=bool), 1), blocks.block(0), _FAR)
     # Stretch field of r_b - 1, the last slot before release b.
     edge_f = (_STRETCH_TOP - (rank_release - 1)) << _STRETCH_SHIFT
     usable = np.zeros(n, dtype=bool)    # by rank: the jobs before job k
@@ -267,7 +252,8 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
         new_gap = after > (_STRETCH_TOP - jk.release) << _STRETCH_SHIFT
         at_release = _GAP_ONE + np.maximum(
             edge, (_STRETCH_TOP - jk.deadline) << _STRETCH_SHIFT)
-        best = gap + np.where(new_gap, at_release, np.maximum(after, edge))
+        best = blocks.block(k)
+        np.add(gap, np.where(new_gap, at_release, np.maximum(after, edge)), out=best)
 
         # Job k right before release r_c, for the ranks c some row can use
         # (s + 1 >= r_c - 1): min over c of left[a, c] + tail[c, b], a
@@ -279,12 +265,12 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
         left = np.where(ok[:, cs], gap[:, cs] + (cs + pk + 2), _FAR)
         tail = cur[cs + pk + 1, right]
         step = 4 * n * n // max(best.size, 1)
+        del gap, after, new_gap, ok     # the product's blocks set the peak memory
         for i in range(0, len(cs), step):
             blk = slice(i, i + step)
-            best = np.minimum(best, (left[:, blk, None] + tail[None, blk]).min(axis=1))
+            np.minimum(best, (left[:, blk, None] + tail[None, blk]).min(axis=1), out=best)
 
         np.bitwise_and(best, ~_CHOICE_MASK, out=row)
-        blocks.append(best)
         usable[pk] = True
 
     return MinGapsTables(jobs, rank_release, job_rank, blocks)

@@ -519,3 +519,47 @@ class TestRequireCount:
         core.require_count("gap budget", value + 1, minimum)
         with pytest.raises(GapSchedError, match=f"^{message}$"):
             core.require_count("gap budget", value, minimum)
+
+
+def small_level_blocks():
+    """Keys 5 and 7.  Level 0: rows 0-2, one column; level 1: rows 0-1,
+    columns 1-2; level 2: row 0, columns 2-3."""
+    blocks = core.LevelBlocks("test tables", np.int16, 100, [5, 7],
+                              [3, 2, 1], [0, 1, 2], [1, 3, 4])
+    blocks.block(0)[:, 0] = [10, 11, 12]
+    blocks.block(1)[...] = [[20, 21], [22, 23]]
+    blocks.block(2)[...] = [[30, 31]]
+    return blocks
+
+
+class TestLevelBlocks:
+    def test_blocks_are_views_of_one_store(self):
+        blocks = small_level_blocks()
+        assert blocks.store.dtype == np.int16
+        assert blocks.store.tolist() == [10, 11, 12, 20, 21, 22, 23, 30, 31]
+
+    def test_level_zero_column_serves_every_column(self):
+        blocks = small_level_blocks()
+        assert blocks.block(0).shape == (3, 1)
+        assert [[blocks.cell(0, u, v) for v in range(5)] for u in range(3)] == \
+            [[10] * 5, [11] * 5, [12] * 5]
+
+    def test_cell_clamps_at_the_last_column(self):
+        blocks = small_level_blocks()
+        assert [blocks.cell(1, 1, v) for v in (1, 2, 3, 9)] == [22, 23, 23, 23]
+        assert [blocks.cell(2, 0, v) for v in (2, 3, 4, 9)] == [30, 31, 31, 31]
+
+    @pytest.mark.parametrize("k, lo, hi, last", [
+        (2, 5, 7, 2), (2, 7, 7, 2), (2, 5, 6, 1), (2, 5, 5, 1), (1, 5, 9, 1),
+        (1, 6, 9, 0), (2, 8, 9, 0), (2, 6, 6, 0), (2, 0, 4, 0), (0, 0, 9, 0),
+    ])
+    def test_last_inside_bounds_are_inclusive(self, k, lo, hi, last):
+        assert small_level_blocks().last_inside(k, lo, hi) == last
+
+    def test_store_and_working_table_checked_together(self, monkeypatch):
+        # 9 stored int16 cells and a working table of 100 bytes.
+        monkeypatch.setattr(core, "TABLE_CAP", 118)
+        small_level_blocks()
+        monkeypatch.setattr(core, "TABLE_CAP", 117)
+        with pytest.raises(GapSchedError, match="^test tables would take 118 bytes"):
+            small_level_blocks()

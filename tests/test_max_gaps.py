@@ -248,8 +248,9 @@ class TestRebuild:
         assert (value, {j: t for j, t in assignment.items() if j not in (START, END)}) == \
             max_gaps_reference(inst)
         u = int(levels.ug.searchsorted(jobs[0].release))
-        v = min(int(levels.vg.searchsorted(jobs[-1].release)), int(levels.end[n]) - 1)
-        levels.store[levels.base[n] + u * levels.width[n] + v] += 1
+        v = min(int(levels.vg.searchsorted(jobs[-1].release)), levels.blocks.end[n] - 1)
+        block = levels.blocks.block(n)
+        block[u, v - (levels.blocks.end[n] - block.shape[1])] += 1
         # The top cell counts the sentinels' two gaps: value + 2, now + 3.
         with pytest.raises(GapSchedError, match=f"no slot of job {END!r} attains {value + 3}"):
             _rebuild(levels)
@@ -292,6 +293,49 @@ class TestJobLimit:
         inst = make_instance([(i, i) for i in range(_MAX_JOBS - 2)])
         with pytest.raises(GapSchedError, match="above the cap"):
             max_gaps(inst)
+
+    def test_far_apart_long_windows_refused_before_listing_ends(self, monkeypatch):
+        # 2000 windows of 5n slots, 10n apart, give about 12 million window
+        # ends and a working table of about 96 GB.  Listing the ends before
+        # sizing the table took about 3.2 s and 1.1 GiB of peak RSS.
+        n = 2000
+        inst = Instance(tuple(Job(i, 10 * n * i, 10 * n * i + 5 * n) for i in range(n)))
+
+        def no_grid(jobs, span):
+            raise AssertionError("window ends listed before the table check")
+
+        monkeypatch.setattr(max_gaps_module, "_window_ends", no_grid)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapSchedError, match="max_gaps working table would take"):
+                max_gaps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+
+class TestCoordinates:
+    # Sentinels sit 2 below the first release and 2 past the last deadline;
+    # the u-axis starts one below the first, and slots reach 3n past the last.
+    @pytest.mark.parametrize("windows", [
+        [(2**63, 2**63)],                                 # was an OverflowError
+        [(0, 0), (1, 1), (2**63 - 4, 2**63 - 3)],         # was a ValueError
+        [(0, 0), (1, 1), (2**63 - 5, 2**63 - 4)],         # was an IndexError
+        [(2**62 - 17, 2**62 - 16), (2**62 - 16, 2**62 - 14)],
+        [(-2**62 + 3, -2**62 + 4), (-2**62 + 4, -2**62 + 6)],
+    ])
+    def test_beyond_int62_refused(self, windows):
+        with pytest.raises(GapSchedError, match="2\\*\\*62"):
+            max_gaps(make_instance(windows))
+
+    @pytest.mark.parametrize("base", [2**62 - 18, -2**62 + 4])
+    def test_at_the_edge(self, base):
+        windows = [(0, 1), (1, 3)]
+        near_value, near = max_gaps(make_instance(windows))
+        value, sched = max_gaps(make_instance([(r + base, d + base) for r, d in windows]))
+        assert value == near_value
+        assert {j: t - base for j, t in sched.assignment.items()} == near.assignment
 
 
 def lemma2_normalize(schedule: Schedule) -> Schedule:

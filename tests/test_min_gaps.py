@@ -336,10 +336,11 @@ class TestFillMatchesRowReference:
 
 
 def min_gaps_table_bytes(inst):
-    """The n x n working key table plus level k's block of p_k rows and
-    n - p_k - 1 columns for every job k, 8 bytes a cell."""
+    """The n x n working key table, level 0's column of n keys and level k's
+    block of p_k rows and n - p_k - 1 columns for every job k, 8 bytes a
+    cell."""
     n = len(inst.jobs) + 2                       # sentinels included
-    return (n * n + sum(p * (n - p - 1) for p in range(n))) * 8
+    return (n * n + n + sum(p * (n - p - 1) for p in range(n))) * 8
 
 
 class TestStoredBlocks:
@@ -347,12 +348,16 @@ class TestStoredBlocks:
         inst = planted_normalized(random.Random(3), 12, 16, 4)
         tables = min_gaps_tables(inst)
         n = len(tables.jobs)
-        assert len(tables.blocks) == n + 1
-        for k, block in enumerate(tables.blocks[1:], start=1):
+        assert len(tables.blocks.keys) == n
+        assert tables.blocks.block(0).shape == (n, 1)
+        stored = tables.blocks.block(0).nbytes
+        for k in range(1, n + 1):
+            block = tables.blocks.block(k)
             pk = tables.job_rank[k - 1]
             assert block.dtype == np.int64
             assert block.shape == (pk, n - pk - 1)
-        stored = sum(block.nbytes for block in tables.blocks)
+            stored += block.nbytes
+        assert stored == tables.blocks.store.nbytes
         assert stored + n * n * 8 == min_gaps_table_bytes(inst)
 
     def test_cell_matches_audit_views(self):
@@ -392,33 +397,43 @@ class TestBlockMemory:
         assert peak < full // 4, (peak, full)
 
 
+def max_gaps_work_bytes(inst):
+    """The nu x nv working table, 2 bytes a cell."""
+    jobs = augment(inst)
+    ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
+    return len(ugrid) * len(_window_ends(jobs, 3 * len(jobs))) * 2
+
+
 def max_gaps_table_bytes(inst):
-    """The nu x nv working table, level 0's one cell and level k's block
+    """The working table, level 0's column of nu values and level k's block
     for every job k: rows u <= r_k, columns from r_k through the first end
     past d_k; 2 bytes a cell."""
     jobs = augment(inst)
     ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
     vgrid = _window_ends(jobs, 3 * len(jobs))
-    cells = len(ugrid) * len(vgrid) + 1
+    cells = len(ugrid)
     for j in jobs:
         rows = sum(u <= j.release for u in ugrid)
         cols = (sum(j.release <= v <= j.deadline for v in vgrid)
                 + any(v > j.deadline for v in vgrid))
         cells += rows * cols
-    return cells * 2
+    return max_gaps_work_bytes(inst) + cells * 2
 
 
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' key table and blocks take 333 312 B, max_gaps' working
-        # table and blocks 130 852 B; validating the input and sizing the
-        # tables alone peak near 3 800 B in min_gaps and 13 500 B in
-        # max_gaps.
+        # min_gaps' key table and blocks take 333 808 B, max_gaps' working
+        # table and blocks 131 004 B; validating the input and sizing the
+        # tables alone peak near 11 400 B in min_gaps and 13 000 B in
+        # max_gaps.  max_gaps checks its working table alone before it
+        # lists the window ends; the cap is that table's 17 710 B, so the
+        # refusal comes from the full figure.
         inst = planted_normalized(random.Random(5), 60, 78, 20)
         table_bytes = {min_gaps: min_gaps_table_bytes,
                        max_gaps: max_gaps_table_bytes}[solver](inst)
-        monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
+        cap = max_gaps_work_bytes(inst)
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", cap)
         tracemalloc.start()
         try:
             with pytest.raises(GapSchedError) as exc:
@@ -426,7 +441,7 @@ class TestTableGuard:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f"take {table_bytes} bytes, above the cap of 1000" in str(exc.value)
+        assert f"take {table_bytes} bytes, above the cap of {cap}" in str(exc.value)
         assert peak < table_bytes // 4, peak
 
     def test_job_count_refused_before_allocating(self, monkeypatch):
