@@ -21,9 +21,12 @@ from .errors import GapSchedError, InfeasibleError
 
 JobId = str | int
 
-# What counts as an integer coordinate or weight.  int is listed first
-# because the abstract class alone is slow to check.
-INTEGER = (int, numbers.Integral)
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool:
+    True is not the coordinate, weight or count 1."""
+    # int is listed first because the abstract class alone is slow to check.
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,11 @@ class Job:
     def __post_init__(self):
         # Slots are integers, and the DPs and oracles sum weights in int64
         # tables.
-        if not isinstance(self.release, INTEGER):
+        if not is_integer(self.release):
             raise ValueError(f"job {self.id}: release {self.release!r} is not an integer")
-        if self.deadline is not None and not isinstance(self.deadline, INTEGER):
+        if self.deadline is not None and not is_integer(self.deadline):
             raise ValueError(f"job {self.id}: deadline {self.deadline!r} is not an integer")
-        if not isinstance(self.weight, INTEGER):
+        if not is_integer(self.weight):
             raise ValueError(f"job {self.id}: weight {self.weight!r} is not an integer")
         if self.weight < 0:
             raise ValueError(f"job {self.id}: negative weight")
@@ -68,12 +71,6 @@ class Instance:
     def by_release(self) -> list[Job]:
         return sorted(self.jobs, key=lambda j: (
             j.release, j.release if j.deadline is None else j.deadline))
-
-    def job(self, job_id: JobId) -> Job:
-        for j in self.jobs:
-            if j.id == job_id:
-                return j
-        raise KeyError(job_id)
 
     def releases_distinct(self) -> bool:
         rs = [j.release for j in self.jobs]
@@ -227,9 +224,8 @@ def require_normalized(inst: Instance, feasible: bool = False) -> None:
 
 def require_count(name: str, value, minimum: int | None = 0) -> None:
     """Raise GapSchedError unless ``value`` is an integer of at least
-    ``minimum`` (None: any integer).  A bool is refused: True is not the
-    budget or threshold 1."""
-    if isinstance(value, bool) or not isinstance(value, INTEGER):
+    ``minimum`` (None: any integer), by ``is_integer``."""
+    if not is_integer(value):
         raise GapSchedError(f"{name} {value!r} is not an integer")
     if minimum is not None and value < minimum:
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")

@@ -27,7 +27,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import INTEGER, require_count
+from .core import is_integer, require_count
 from .errors import GapSchedError, InfeasibleError
 from .xy_select import select_kth
 
@@ -40,14 +40,14 @@ class Interval:
     weight: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.start, INTEGER):
+        if not is_integer(self.start):
             raise ValueError(f"interval {self.id}: start {self.start!r} is not an integer")
-        if not isinstance(self.end, INTEGER):
+        if not is_integer(self.end):
             raise ValueError(f"interval {self.id}: end {self.end!r} is not an integer")
         if self.end < self.start:
             raise ValueError(f"interval {self.id}: end < start")
         # The weighted DPs assume hitting more never weighs less.
-        if not isinstance(self.weight, INTEGER):
+        if not is_integer(self.weight):
             raise ValueError(f"interval {self.id}: weight {self.weight!r} is not an integer")
         if self.weight < 0:
             raise ValueError(f"interval {self.id}: negative weight")

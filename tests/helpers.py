@@ -13,6 +13,14 @@ def make_instance(windows) -> Instance:
     return Instance(tuple(Job(i, r, d) for i, (r, d) in enumerate(windows)))
 
 
+def job(inst: Instance, job_id) -> Job:
+    """The job of ``inst`` with id ``job_id``."""
+    for j in inst.jobs:
+        if j.id == job_id:
+            return j
+    raise KeyError(job_id)
+
+
 def release_instance(releases, weights=None) -> Instance:
     ws = weights or [1] * len(releases)
     return Instance(tuple(Job(i, r, None, w) for i, (r, w) in enumerate(zip(releases, ws))))

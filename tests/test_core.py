@@ -28,6 +28,7 @@ from gapsched.errors import GapSchedError
 from helpers import (
     all_window_multisets,
     enumerate_schedules,
+    job,
     make_instance,
     random_raw_windows,
     random_windows,
@@ -71,6 +72,23 @@ class TestInstance:
     def test_integral_types_accepted(self):
         inst = Instance((Job(0, np.int64(0), np.int32(1)), Job(1, 3, 3), Job(2, 4)))
         assert [j.release for j in inst.by_release()] == [0, 3, 4]
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Job(0, v, 2), "release"),
+        (lambda v: Job(0, 0, v), "deadline"),
+        (lambda v: Job(0, 0, 2, v), "weight"),
+        (lambda v: hitting.Interval(0, v, 2), "start"),
+        (lambda v: hitting.Interval(0, 0, v), "end"),
+        (lambda v: hitting.Interval(0, 0, 2, v), "weight"),
+    ], ids=["job-release", "job-deadline", "job-weight",
+            "interval-start", "interval-end", "interval-weight"])
+    def test_bool_refused_numpy_integer_accepted(self, make, field):
+        # Job(0, 1, 2, True) and Interval(0, True, 2) used to construct,
+        # while require_count refused the same bool as a budget.
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
+                make(value)
+        assert getattr(make(np.int64(1)), field) == 1
 
 
 class TestNormalizeDistinct:
@@ -351,7 +369,7 @@ class TestShiftBlockLeft:
             blocks = s.blocks()
             target = rng.choice(blocks)
             slot_to_job = {t: j for j, t in s.assignment.items()}
-            last_job = inst.job(slot_to_job[target[1]])
+            last_job = job(inst, slot_to_job[target[1]])
             if last_job.release >= target[1] or target[0] - 2 in set(busy):
                 continue
             done += 1

@@ -31,7 +31,8 @@ from gapsched.errors import GapSchedError
 from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, _window_ends, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
-from helpers import make_instance, nested_wide, planted_normalized, random_feasible_normalized
+from helpers import (job, make_instance, nested_wide, planted_normalized,
+                     random_feasible_normalized)
 
 
 def normalized(windows):
@@ -450,7 +451,7 @@ class TestLemma2Normalize:
             # fixpoint: no job has an idle run of length >= 3 behind it
             busy = set(out.busy_slots())
             for jid, t in out.assignment.items():
-                r = inst.job(jid).release
+                r = job(inst, jid).release
                 run = 0
                 for x in range(r, t):
                     run = run + 1 if x not in busy else 0

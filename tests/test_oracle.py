@@ -3,6 +3,7 @@ enumeration of assignments on tiny instances."""
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,14 @@ from gapsched.oracle import (
 
 from helpers import (enumerate_schedules, make_instance, random_raw_windows,
                      random_windows, release_instance)
+
+
+def carrying_deadlines(inst, rng):
+    """inst with a deadline on most jobs, some before the release; the flow
+    oracles ignore deadlines."""
+    return Instance(tuple(
+        replace(j, deadline=None if rng.random() < 0.25 else j.release + rng.randint(-2, 3))
+        for j in inst.jobs))
 
 
 def stats_of(inst, assignment):
@@ -239,7 +248,7 @@ class TestWeightLimit:
 
 class TestFlowAgainstEnumeration:
     def test_min_total_flow(self):
-        rng = random.Random(6)
+        rng, drng = random.Random(6), random.Random(106)
         for _ in range(40):
             releases = sorted(rng.randrange(8) for _ in range(rng.randint(1, 4)))
             inst = release_instance(releases)
@@ -249,13 +258,15 @@ class TestFlowAgainstEnumeration:
                     st = stats_of(inst, a)
                     return st.total_flow if st.gap_count <= g else 10**9
                 best = min(enumerate_values(inst, score, slot_limit=limit))
-                v, sched = oracle_solve(inst, "min_total_flow", gaps=g)
-                assert v == best
-                assert stats_of(inst, sched.assignment).total_flow == v
-                assert stats_of(inst, sched.assignment).gap_count <= g
+                for case in (inst, carrying_deadlines(inst, drng)):
+                    v, sched = oracle_solve(case, "min_total_flow", gaps=g)
+                    assert v == best
+                    assert len(sched.assignment) == len(case.jobs)
+                    assert stats_of(case, sched.assignment).total_flow == v
+                    assert stats_of(case, sched.assignment).gap_count <= g
 
     def test_min_max_flow(self):
-        rng = random.Random(7)
+        rng, drng = random.Random(7), random.Random(107)
         for _ in range(40):
             releases = sorted(rng.randrange(8) for _ in range(rng.randint(1, 4)))
             inst = release_instance(releases)
@@ -265,11 +276,15 @@ class TestFlowAgainstEnumeration:
                     st = stats_of(inst, a)
                     return st.max_flow if st.gap_count <= g else 10**9
                 best = min(enumerate_values(inst, score, slot_limit=limit))
-                v, _ = oracle_solve(inst, "min_max_flow", gaps=g)
-                assert v == best
+                for case in (inst, carrying_deadlines(inst, drng)):
+                    v, sched = oracle_solve(case, "min_max_flow", gaps=g)
+                    assert v == best
+                    assert len(sched.assignment) == len(case.jobs)
+                    assert stats_of(case, sched.assignment).max_flow == v
+                    assert stats_of(case, sched.assignment).gap_count <= g
 
     def test_min_gaps_flow_bounds(self):
-        rng = random.Random(8)
+        rng, drng = random.Random(8), random.Random(108)
         for _ in range(40):
             releases = sorted(rng.randrange(8) for _ in range(rng.randint(1, 4)))
             inst = release_instance(releases)
@@ -279,25 +294,24 @@ class TestFlowAgainstEnumeration:
             def score_total(a):
                 st = stats_of(inst, a)
                 return st.gap_count if st.total_flow <= f else 10**9
-            best = min(enumerate_values(inst, score_total, slot_limit=limit))
-            try:
-                v, _ = oracle_solve(inst, "min_gaps_total_flow", total_flow=f)
-                assert v == best
-            except InfeasibleError:
-                assert best == 10**9
+            best_total = min(enumerate_values(inst, score_total, slot_limit=limit))
 
             def score_max(a):
                 st = stats_of(inst, a)
                 return st.gap_count if st.max_flow <= f else 10**9
-            best = min(enumerate_values(inst, score_max, slot_limit=limit))
-            try:
-                v, sched = oracle_solve(inst, "min_gaps_max_flow", max_flow=f)
-                assert v == best
-                st = stats_of(inst, sched.assignment)
-                assert st.gap_count == v
-                assert st.max_flow <= f
-            except InfeasibleError:
-                assert best == 10**9
+            best_max = min(enumerate_values(inst, score_max, slot_limit=limit))
+            for case in (inst, carrying_deadlines(inst, drng)):
+                for objective, best in (("total_flow", best_total), ("max_flow", best_max)):
+                    try:
+                        v, sched = oracle_solve(case, f"min_gaps_{objective}", **{objective: f})
+                    except InfeasibleError:
+                        assert best == 10**9
+                        continue
+                    assert v == best
+                    assert len(sched.assignment) == len(case.jobs)
+                    st = stats_of(case, sched.assignment)
+                    assert st.gap_count == v
+                    assert getattr(st, objective) <= f
 
     def test_max_flow_infeasibility_witness(self):
         """The witness is the first job, in release order, that
@@ -314,18 +328,34 @@ class TestFlowAgainstEnumeration:
             with pytest.raises(GapSchedError):
                 fn(release_instance([0]), -1)
 
+    def test_deadlines_are_ignored(self):
+        """Deadlines far outside the releases neither move the values nor
+        count toward the slot cap, which covers the releases alone."""
+        bare = release_instance([0, 0, 15])
+        inst = Instance(tuple(replace(j, deadline=d) for j, d in zip(bare.jobs, (40, -3, 15))))
+        for g in (0, 1, 2):
+            assert oracle_min_total_flow(inst, g)[0] == oracle_min_total_flow(bare, g)[0]
+            assert oracle_min_max_flow(inst, g)[0] == oracle_min_max_flow(bare, g)[0]
+        with pytest.raises(OracleCapError):
+            oracle_solve(inst, "min_gaps")
+        with pytest.raises(OracleCapError):
+            oracle_min_total_flow(Instance(inst.jobs + (Job(3, 16, 16),)), 0)
+
     def test_slot_universe_is_wide_enough(self):
-        """Doubling the slot bound never improves the optimum."""
+        """Widening the slots to max r + 2n, every job's deadline there,
+        never improves the optimum."""
         rng = random.Random(9)
         for _ in range(25):
             releases = sorted(rng.randrange(8) for _ in range(rng.randint(1, 4)))
             inst = release_instance(releases)
             wide = max(releases) + 2 * len(releases)
+            jobs = [replace(j, deadline=wide) for j in inst.by_release()]
             for g in (0, 1):
-                for combine in (np.add, np.maximum):
-                    base, _ = oracle._solve_flow(inst, g, combine)
-                    wide_v, _ = oracle._solve_flow(inst, g, combine, limit=wide)
-                    assert base == wide_v
+                for objective, solve in ((oracle._TOTAL_FLOW, oracle_min_total_flow),
+                                         (oracle._MAX_FLOW, oracle_min_max_flow)):
+                    dp = oracle._DeadlineDP(jobs, range(min(releases), wide + 1))
+                    wide_v, _ = oracle._at_budget(inst, dp, g, objective, oracle._flow)
+                    assert wide_v == solve(inst, g)[0]
 
 
 class TestOracleInvariances:

@@ -20,6 +20,7 @@ from gapsched.throughput import (
 )
 
 from helpers import (
+    job,
     make_instance,
     planted_normalized,
     random_feasible_normalized,
@@ -242,7 +243,7 @@ class TestMaxThroughput:
                 expect, _ = oracle_max_throughput(inst, g, weighted=True)
                 value, sched = max_throughput(inst, g, weighted=True)
                 assert value == expect, (inst, g)
-                got = sum(inst.job(j).weight for j in sched.assignment)
+                got = sum(job(inst, j).weight for j in sched.assignment)
                 assert got == value
 
     def test_budget_past_n_minus_1_solves_at_n_minus_1(self, monkeypatch):
@@ -700,7 +701,7 @@ class TestSharedWindows:
             for g in range(3):
                 value, sched = max_throughput(inst, g, weighted=True)
                 assert value == oracle_max_throughput(inst, g, weighted=True)[0]
-                assert value == sum(inst.job(j).weight for j in sched.assignment)
+                assert value == sum(job(inst, j).weight for j in sched.assignment)
         assert found == [light, heavy, light, heavy]
 
     @pytest.mark.parametrize("cap, far, error", [(10**4, (), "windows"),
