@@ -13,7 +13,7 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -311,51 +311,64 @@ class NormalizeResult:
 def normalize_distinct(inst: Instance) -> NormalizeResult:
     """Make all release times and all deadlines pairwise distinct.
 
-    Release ties are broken by pushing the job with the later deadline one
-    slot to the right; deadline ties pull the job with the earlier release
-    one slot to the left.  Ties on both coordinates are processed in stable
-    input order.  Jobs whose window collapses (deadline < release) are
-    dropped and reported; schedulable busy-slot sets are preserved for the
-    survivors.
+    The release pass sweeps time upwards.  At slot t the waiting jobs are
+    those released by t and not yet placed or dropped, in a heap keyed by
+    (deadline, input order).  The top job keeps release t; then every
+    waiting job with deadline <= t has lost its window and is dropped, in
+    heap order, as the job [t + 1, d]; the rest compete again at t + 1.
+    When nothing waits, the sweep jumps to the next release.  So a release
+    tie keeps the job with the earliest deadline in place and pushes the
+    others right, full ties in input order.  A job whose window was empty
+    from the start keeps its release when it meets no tie.
+
+    The deadline pass is the same sweep in mirrored time, where (r, d)
+    becomes (-d, -r) and the tie key is the negated input order: a deadline
+    tie keeps the job with the latest release, full ties the one later in
+    the input, and pulls the others left.  Jobs it drops are reported as
+    [r, t - 1].  ``removed`` lists the release pass's drops, then the
+    deadline pass's, each in drop order.  Schedulable busy-slot sets are
+    preserved for the survivors, which come sorted by deadline.
+
+    Each pass pushes and pops every job once, so the whole takes
+    O(n log n) time, and each output ``Job`` is built once.
     """
     if not inst.has_deadlines:
         raise GapSchedError("normalize_distinct requires deadlines")
-    order = {j.id: i for i, j in enumerate(inst.jobs)}
-    kept, removed = _spread(inst.jobs, order)
-    # The deadline pass is the release pass in mirrored time, where
-    # (r, d) becomes (-d, -r) and the latest release keeps a contested
-    # deadline; negated tie keys keep input order on full ties.
-    kept, pulled = _spread(_mirror(kept), {k: -o for k, o in order.items()})
-    jobs = sorted(_mirror(kept), key=lambda j: j.deadline)
-    return NormalizeResult(Instance(tuple(jobs)), {j.id: j for j in jobs},
-                           tuple(removed + _mirror(pulled)))
+    jobs = inst.jobs
+    kept, pushed = _sweep([(j.release, j.deadline, i) for i, j in enumerate(jobs)])
+    kept, pulled = _sweep([(-d, -t, -i) for t, d, i in kept])
+
+    def job(i, release, deadline):
+        return Job(jobs[i].id, release, deadline, jobs[i].weight)
+
+    out = [job(-k, -d, -t) for t, d, k in reversed(kept)]
+    removed = [job(i, t, d) for t, d, i in pushed] + [job(-k, -d, -t) for t, d, k in pulled]
+    return NormalizeResult(Instance(tuple(out)), {j.id: j for j in out}, tuple(removed))
 
 
-def _mirror(jobs) -> list[Job]:
-    return [Job(j.id, -j.deadline, -j.release, j.weight) for j in jobs]
-
-
-def _spread(jobs, order: dict[JobId, int]) -> tuple[list[Job], list[Job]]:
-    """The release pass of normalize_distinct: at every contested release
-    the job with the earliest deadline (then the smallest ``order``) keeps
-    it, and the others move one slot right to compete again.  Returns the
-    kept jobs and those whose window collapsed, at their final windows."""
-    heap = [(j.release, j.deadline, order[j.id], j) for j in jobs]
-    heapq.heapify(heap)
-    kept: list[Job] = []
-    removed: list[Job] = []
-    prev = None
-    while heap:
-        r, d, o, j = heapq.heappop(heap)
-        if prev is not None and r <= prev:
-            if prev + 1 > d:
-                removed.append(Job(j.id, prev + 1, d, j.weight))
-            else:
-                heapq.heappush(heap, (prev + 1, d, o, j))
-            continue
-        kept.append(Job(j.id, r, d, j.weight))
-        prev = r
-    return kept, removed
+def _sweep(items: list) -> tuple[list, list]:
+    """One pass of normalize_distinct over (release, deadline, key) tuples
+    with distinct keys: the kept jobs as (slot, deadline, key) in slot
+    order, and the dropped ones as (slot + 1, deadline, key) at the slot
+    where they lost, in drop order."""
+    items.sort()
+    kept: list = []
+    dropped: list = []
+    waiting: list = []      # (deadline, key)
+    i, t = 0, None
+    while i < len(items) or waiting:
+        if not waiting:
+            t = items[i][0]
+        while i < len(items) and items[i][0] <= t:
+            heapq.heappush(waiting, items[i][1:])
+            i += 1
+        d, k = heapq.heappop(waiting)
+        kept.append((t, d, k))
+        while waiting and waiting[0][0] <= t:
+            d, k = heapq.heappop(waiting)
+            dropped.append((t + 1, d, k))
+        t += 1
+    return kept, dropped
 
 
 @dataclass(frozen=True)
@@ -403,21 +416,26 @@ def _edf(inst: Instance, slots=None) -> dict[JobId, int]:
 def check_feasible(inst: Instance) -> FeasibilityResult:
     """EDF feasibility for a deadline instance.
 
-    Feasible iff earliest deadline first places every job.  On failure
-    returns an overfull window [u, v] containing more jobs than slots
-    (u a release, v a deadline).
+    Feasible iff earliest deadline first places every job, which takes
+    O(n log n).  On failure returns ``_hall_witness``'s overfull window
+    [u, v] containing more jobs than slots (u a release, v a deadline):
+    the narrowest, ties to the smallest u.
     """
     if not inst.has_deadlines:
         raise GapSchedError("check_feasible requires deadlines")
     assignment = _edf(inst)
-    if len(assignment) < len(inst.jobs):
-        return FeasibilityResult(False, witness=_hall_witness(inst))
-    return FeasibilityResult(True, Schedule(inst, assignment))
+    if len(assignment) == len(inst.jobs):
+        return FeasibilityResult(True, Schedule(inst, assignment))
+    del assignment      # freed before the witness search, to bound the peak
+    return FeasibilityResult(False, witness=_hall_witness(inst))
 
 
 def edf_max_throughput(inst: Instance) -> int:
     """Maximum number of schedulable jobs of a deadline instance."""
     return len(_edf(inst))
+
+
+_BLOCK_BYTES = 16 << 10     # one row block's counts: rows x deadlines, int64
 
 
 def _hall_witness(inst: Instance) -> tuple[int, int]:
@@ -426,24 +444,68 @@ def _hall_witness(inst: Instance) -> tuple[int, int]:
     smallest u.
 
     Searching u over releases and v over deadlines suffices.  An inverted
-    window (v < u) qualifies only when it holds a collapsed job window.
-    For each u the jobs are counted in deadline order; the first deadline
-    that qualifies gives the narrowest window starting at u.
+    window (v < u) qualifies only when it holds a collapsed job window
+    (d < r), and then the narrowest window is the collapsed [r, d] with the
+    least d - r, ties to the smallest r.  Otherwise let c(u, v) count the
+    jobs with r >= u and d <= v; window [u, v] qualifies when
+    c(u, v) > max(0, v - u + 1), which needs u <= v < u + n - 1.  So
+    coordinates are first mapped to positions that keep every distance
+    between neighbours up to n + 1 and lower the larger ones to n + 1:
+    that keeps every qualifying window and its width, adds none, and makes
+    the counting exact in int64 for integers of any size.
+
+    c is a suffix sum over the release ranks of a prefix sum over the
+    deadline ranks.  It is built in blocks of release rows, from the
+    largest u down, each of at most ``_BLOCK_BYTES`` (or one row), with the
+    column totals of the rows above carried from block to block; no n x n
+    array is formed.  In each row, ``argmax`` finds the first qualifying
+    deadline, the narrowest window starting at that u.  That is O(n^2)
+    cell work in numpy, in at most one block per release and O(n log n)
+    Python work besides, in O(n + _BLOCK_BYTES) memory.
     """
-    by_deadline = [(v, [j.release for j in group]) for v, group
-                   in groupby(inst.by_deadline(), key=lambda j: j.deadline)]
-    best = None
-    for u in sorted({j.release for j in inst.jobs}):
-        inside = 0
-        for v, releases in by_deadline:
-            inside += sum(r >= u for r in releases)
-            if inside > max(0, v - u + 1):
-                if best is None or v - u < best[1] - best[0]:
-                    best = (u, v)
-                break
+    collapsed = [(j.deadline - j.release, j.release, j.deadline)
+                 for j in inst.jobs if j.deadline < j.release]
+    if collapsed:
+        _, u, v = min(collapsed)
+        return u, v
+    n = len(inst.jobs)
+    xs = sorted({x for j in inst.jobs for x in (j.release, j.deadline)})
+    pos = dict(zip(xs, accumulate((min(b - a, n + 1) for a, b in zip(xs, xs[1:])),
+                                  initial=0)))
+    us = sorted({j.release for j in inst.jobs})
+    vs = sorted({j.deadline for j in inst.jobs})
+    upos = np.array([pos[u] for u in us], dtype=np.int64)
+    vpos = np.array([pos[v] for v in vs], dtype=np.int64)
+    nu, nv = len(us), len(vs)
+    # Jobs as (release rank, deadline rank) cells, in ascending order.
+    jobs = inst.by_release()
+    cells = (np.searchsorted(upos, [pos[j.release] for j in jobs]) * nv
+             + np.searchsorted(vpos, [pos[j.deadline] for j in jobs]))
+    starts = np.searchsorted(cells, np.arange(nu + 1) * nv)
+    rows = max(1, _BLOCK_BYTES // (8 * max(nv, 1)))
+    above = np.zeros(nv, dtype=np.int64)    # c(u_hi, v): the rows above the block
+    best = None                             # (width, release rank, deadline rank)
+    for hi in range(nu, 0, -rows):
+        lo = max(0, hi - rows)
+        c = np.bincount(cells[starts[lo]:starts[hi]] - lo * nv,
+                        minlength=(hi - lo) * nv).reshape(hi - lo, nv)
+        np.cumsum(c, axis=1, out=c)
+        c[-1] += above
+        up = c[::-1]
+        np.cumsum(up, axis=0, out=up)
+        above = c[0].copy()
+        slots = vpos - (upos[lo:hi, None] - 1)
+        hit = c > np.maximum(slots, 0, out=slots)
+        first = hit.argmax(axis=1)
+        found = np.flatnonzero(hit[np.arange(hi - lo), first])
+        if len(found):
+            widths = vpos[first[found]] - upos[lo + found]
+            k = int(widths.argmin())
+            if best is None or widths[k] <= best[0]:
+                best = (int(widths[k]), lo + int(found[k]), int(first[found[k]]))
     if best is None:
         raise GapSchedError("no Hall witness in a feasible instance")
-    return best
+    return us[best[1]], vs[best[2]]
 
 
 def edf_schedule_busy_set(inst: Instance, busy: tuple[int, ...]) -> Schedule | None:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
-from gapsched.core import Instance, Job, check_feasible, normalize_distinct
+from gapsched.core import Instance, Job, NormalizeResult, check_feasible, normalize_distinct
 
 
 def make_instance(windows) -> Instance:
@@ -123,3 +124,62 @@ def enumerate_schedules(inst: Instance, full: bool = True, slot_limit=None):
 def brute_force_value(schedules, score, best=min):
     vals = [score(s) for s in schedules]
     return best(vals) if vals else None
+
+
+def normalize_distinct_reference(inst: Instance) -> NormalizeResult:
+    """``core.normalize_distinct`` as a heap of (release, deadline, order)
+    that moves each job losing a contested release one slot right, one
+    slot per push, and the same in mirrored time for the deadlines:
+    O(n^2) heap operations on tie-heavy instances, the reference for the
+    one-sweep-per-pass code."""
+    order = {j.id: i for i, j in enumerate(inst.jobs)}
+    kept, removed = _spread(inst.jobs, order)
+    kept, pulled = _spread(_mirror(kept), {k: -o for k, o in order.items()})
+    jobs = sorted(_mirror(kept), key=lambda j: j.deadline)
+    return NormalizeResult(Instance(tuple(jobs)), {j.id: j for j in jobs},
+                           tuple(removed + _mirror(pulled)))
+
+
+def _mirror(jobs) -> list[Job]:
+    return [Job(j.id, -j.deadline, -j.release, j.weight) for j in jobs]
+
+
+def _spread(jobs, order):
+    """At every contested release the job with the earliest deadline (then
+    the smallest ``order``) keeps it, and the others move one slot right
+    to compete again.  Returns the kept jobs and those whose window
+    collapsed, at their final windows."""
+    heap = [(j.release, j.deadline, order[j.id], j) for j in jobs]
+    heapq.heapify(heap)
+    kept, removed = [], []
+    prev = None
+    while heap:
+        r, d, o, j = heapq.heappop(heap)
+        if prev is not None and r <= prev:
+            if prev + 1 > d:
+                removed.append(Job(j.id, prev + 1, d, j.weight))
+            else:
+                heapq.heappush(heap, (prev + 1, d, o, j))
+            continue
+        kept.append(Job(j.id, r, d, j.weight))
+        prev = r
+    return kept, removed
+
+
+def hall_witness_rows(inst: Instance):
+    """``core._hall_witness`` by a walk per distinct release u over the
+    deadline groups, counting the releases >= u in Python; the first
+    deadline that qualifies gives the narrowest window starting at u.
+    None when no window is overfull."""
+    by_deadline = [(v, [j.release for j in group]) for v, group
+                   in itertools.groupby(inst.by_deadline(), key=lambda j: j.deadline)]
+    best = None
+    for u in sorted({j.release for j in inst.jobs}):
+        inside = 0
+        for v, releases in by_deadline:
+            inside += sum(r >= u for r in releases)
+            if inside > max(0, v - u + 1):
+                if best is None or v - u < best[1] - best[0]:
+                    best = (u, v)
+                break
+    return best

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,8 +29,10 @@ from gapsched.errors import GapSchedError
 from helpers import (
     all_window_multisets,
     enumerate_schedules,
+    hall_witness_rows,
     job,
     make_instance,
+    normalize_distinct_reference,
     random_raw_windows,
     random_windows,
     release_instance,
@@ -38,6 +41,33 @@ from helpers import (
 
 def sched(inst, slots_by_id):
     return Schedule(inst, dict(slots_by_id))
+
+
+def raw_jobs(rng, n):
+    """n jobs with heavy release and deadline ties, some windows collapsed
+    (deadline before release), coordinates on both sides of 0, ids mixed
+    int and str, weights 0-5, in shuffled input order."""
+    horizon = rng.randint(1, 2 * n)
+    base = rng.randint(-40, 40)
+    reach = rng.choice([2, 5, horizon])
+    jobs = []
+    for i in range(n):
+        r = base + rng.randrange(horizon)
+        jobs.append(Job(f"j{i}" if rng.random() < 0.5 else i, r,
+                        r + rng.randint(-3, reach), rng.randint(0, 5)))
+    rng.shuffle(jobs)
+    return Instance(tuple(jobs))
+
+
+def window_jobs(rng, n):
+    """n windows without collapse on a horizon of n / 2 to 2n: about half
+    of them infeasible."""
+    return make_instance(random_windows(rng, n, rng.randint(n // 2, 2 * n)))
+
+
+def tight_instance(n):
+    """n uniform windows on 0.9 n slots: infeasible, with many ties."""
+    return make_instance(random_windows(random.Random(n), n, n * 9 // 10))
 
 
 def hall_witness_scan(inst):
@@ -150,6 +180,42 @@ class TestNormalizeDistinct:
                      for a in enumerate_schedules(res.instance)}
             assert before == after
 
+    @staticmethod
+    def assert_matches_reference(inst):
+        got, ref = normalize_distinct(inst), normalize_distinct_reference(inst)
+        assert got.instance.jobs == ref.instance.jobs
+        assert list(got.remap.items()) == list(ref.remap.items())
+        assert got.removed == ref.removed
+        return got
+
+    def test_matches_reference(self):
+        """The one-sweep passes give the jobs, remap and removed list, in
+        order, of the slot-by-slot heap they replaced."""
+        rng = random.Random(29)
+        removed = 0
+        for _ in range(2000):
+            got = self.assert_matches_reference(raw_jobs(rng, rng.randint(1, 60)))
+            removed += bool(got.removed)
+        assert removed > 500
+
+    @pytest.mark.parametrize("n", [400, 700, 1000])
+    def test_matches_reference_at_scale(self, n):
+        self.assert_matches_reference(tight_instance(n))
+        self.assert_matches_reference(raw_jobs(random.Random(n), n))
+
+    def test_peak_memory(self):
+        # Within 10% of the slot-by-slot heap's tracemalloc peak here, 2.215
+        # MiB, which built every job three times.
+        inst = tight_instance(4000)
+        normalize_distinct(inst)
+        tracemalloc.start()
+        try:
+            normalize_distinct(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2.215 * 2**20, peak
+
 
 class TestCheckFeasible:
     def test_two_tight_jobs_feasible(self):
@@ -190,6 +256,65 @@ class TestCheckFeasible:
                 infeasible += 1
                 assert res.witness == expect
         assert infeasible > 200
+        with pytest.raises(GapSchedError):
+            core._hall_witness(Instance(()))
+
+    def test_witness_matches_scans_at_scale(self):
+        """The row-block counts against the full scan for n = 20-120, and
+        against the per-release walk on more and larger instances."""
+        rng = random.Random(31)
+        for n in range(20, 121, 10):
+            inst = make_instance(random_windows(rng, n, n * 9 // 10))
+            expect = hall_witness_scan(inst)
+            assert expect is not None
+            assert core._hall_witness(inst) == expect
+        infeasible = 0
+        for _ in range(150):
+            inst = window_jobs(rng, rng.randint(20, 120))
+            expect = hall_witness_rows(inst)
+            infeasible += expect is not None
+            assert check_feasible(inst).witness == expect
+        assert infeasible > 50
+        # With collapsed windows, the narrowest collapsed one.
+        for _ in range(30):
+            inst = raw_jobs(rng, rng.randint(20, 120))
+            assert check_feasible(inst).witness == hall_witness_rows(inst)
+        inst = tight_instance(400)
+        assert check_feasible(inst).witness == hall_witness_rows(inst)
+
+    @pytest.mark.parametrize("block_bytes", [8, 1 << 10, 1 << 30])
+    def test_witness_independent_of_block_size(self, monkeypatch, block_bytes):
+        # One row a block, a few rows, and every row in one block.
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_bytes)
+        rng = random.Random(37)
+        for _ in range(40):
+            inst = window_jobs(rng, rng.randint(20, 120))
+            assert check_feasible(inst).witness == hall_witness_rows(inst)
+        # Equally narrow windows in every block: the smallest u wins.
+        twins = make_instance([(10 * k, 10 * k) for k in range(300) for _ in range(2)])
+        assert check_feasible(twins).witness == (0, 0)
+
+    @pytest.mark.parametrize("base", [2**70, -2**80, 2**63 - 2])
+    def test_witness_beyond_int64(self, base):
+        # Distances above n + 1 are shortened before counting in int64.
+        inst = make_instance([(0, 1), (1, 1), (0, 2), (base, base), (base, base + 1),
+                              (base + 1, base + 1), (2 * base, 2 * base)])
+        assert check_feasible(inst).witness == (base, base + 1)
+        assert hall_witness_scan(inst) == (base, base + 1)
+
+    def test_witness_peak_memory(self):
+        # Within 10% of the per-release walk's tracemalloc peak here, 0.654
+        # MiB; an n x n array of counts would take 128 MB.
+        inst = tight_instance(4000)
+        check_feasible(inst)
+        tracemalloc.start()
+        try:
+            res = check_feasible(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not res.feasible
+        assert peak < 1.1 * 0.654 * 2**20, peak
 
     def test_edf_schedule_validates(self):
         rng = random.Random(3)
