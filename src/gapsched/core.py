@@ -22,11 +22,12 @@ from .errors import GapSchedError, InfeasibleError
 JobId = str | int
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer (numpy's included) and not a bool:
-    True is not the coordinate, weight or count 1."""
+def is_integer(value, kind=numbers.Integral) -> bool:
+    """Whether ``value`` is an integer (numpy's included), or an instance of
+    the wider numbers class ``kind``, and not a bool: True is not the
+    coordinate, weight, count or bound 1."""
     # int is listed first because the abstract class alone is slow to check.
-    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+    return isinstance(value, (int, kind)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,14 @@ def require_normalized(inst: Instance, feasible: bool = False) -> None:
                                   witness=res.witness)
 
 
-def require_count(name: str, value, minimum: int | None = 0) -> None:
-    """Raise GapSchedError unless ``value`` is an integer of at least
-    ``minimum`` (None: any integer), by ``is_integer``."""
-    if not is_integer(value):
-        raise GapSchedError(f"{name} {value!r} is not an integer")
+def require_count(name: str, value, minimum: int | None = 0,
+                  kind=numbers.Integral) -> None:
+    """Raise GapSchedError unless ``value`` is an integer, or with ``kind``
+    numbers.Rational a rational, of at least ``minimum`` (None: no least
+    value), by ``is_integer``."""
+    if not is_integer(value, kind):
+        what = "an integer" if kind is numbers.Integral else "rational"
+        raise GapSchedError(f"{name} {value!r} is not {what}")
     if minimum is not None and value < minimum:
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise GapSchedError(f"{name} must be {bound}, got {value}")
@@ -311,23 +315,24 @@ class NormalizeResult:
 def normalize_distinct(inst: Instance) -> NormalizeResult:
     """Make all release times and all deadlines pairwise distinct.
 
-    The release pass sweeps time upwards.  At slot t the waiting jobs are
-    those released by t and not yet placed or dropped, in a heap keyed by
-    (deadline, input order).  The top job keeps release t; then every
-    waiting job with deadline <= t has lost its window and is dropped, in
-    heap order, as the job [t + 1, d]; the rest compete again at t + 1.
-    When nothing waits, the sweep jumps to the next release.  So a release
-    tie keeps the job with the earliest deadline in place and pushes the
-    others right, full ties in input order.  A job whose window was empty
-    from the start keeps its release when it meets no tie.
+    Both passes are ``_sweep`` over the jobs keyed by input order.  The
+    release pass sweeps time upwards.  At slot t every waiting job with
+    deadline < t has lost its window and is dropped, in (deadline, input
+    order), as the job [t, d]; then the waiting job with the earliest
+    deadline keeps release t, and the rest compete again at t + 1.  So a
+    release tie keeps the job with the earliest deadline in place and
+    pushes the others right, full ties in input order.  A job whose window
+    is empty from the start (d < r) is dropped at its release as [r, d]
+    and takes no slot from another job.
 
     The deadline pass is the same sweep in mirrored time, where (r, d)
     becomes (-d, -r) and the tie key is the negated input order: a deadline
     tie keeps the job with the latest release, full ties the one later in
-    the input, and pulls the others left.  Jobs it drops are reported as
-    [r, t - 1].  ``removed`` lists the release pass's drops, then the
-    deadline pass's, each in drop order.  Schedulable busy-slot sets are
-    preserved for the survivors, which come sorted by deadline.
+    the input, and pulls the others left; a job it drops at slot s of
+    unmirrored time, s < r, is reported as [r, s].  ``removed`` lists the
+    release pass's drops, then the deadline pass's, each in drop order.
+    Schedulable busy-slot sets are preserved for the survivors, which come
+    sorted by deadline.
 
     Each pass pushes and pops every job once, so the whole takes
     O(n log n) time, and each output ``Job`` is built once.
@@ -335,8 +340,15 @@ def normalize_distinct(inst: Instance) -> NormalizeResult:
     if not inst.has_deadlines:
         raise GapSchedError("normalize_distinct requires deadlines")
     jobs = inst.jobs
-    kept, pushed = _sweep([(j.release, j.deadline, i) for i, j in enumerate(jobs)])
-    kept, pulled = _sweep([(-d, -t, -i) for t, d, i in kept])
+
+    def one_pass(items):
+        kept, dropped = [], []
+        for e in _sweep(sorted(items)):
+            (kept if e[1] >= e[0] else dropped).append(e)
+        return kept, dropped
+
+    kept, pushed = one_pass((j.release, j.deadline, i) for i, j in enumerate(jobs))
+    kept, pulled = one_pass((-d, -t, -i) for t, d, i in kept)
 
     def job(i, release, deadline):
         return Job(jobs[i].id, release, deadline, jobs[i].weight)
@@ -346,29 +358,41 @@ def normalize_distinct(inst: Instance) -> NormalizeResult:
     return NormalizeResult(Instance(tuple(out)), {j.id: j for j in out}, tuple(removed))
 
 
-def _sweep(items: list) -> tuple[list, list]:
-    """One pass of normalize_distinct over (release, deadline, key) tuples
-    with distinct keys: the kept jobs as (slot, deadline, key) in slot
-    order, and the dropped ones as (slot + 1, deadline, key) at the slot
-    where they lost, in drop order."""
-    items.sort()
-    kept: list = []
-    dropped: list = []
+def _sweep(items, slots=None):
+    """Earliest deadline first over (release, deadline, key) items with
+    distinct keys, read lazily in ascending release order.
+
+    The slots are ``slots``, ascending, or with None every slot from the
+    first release on, idle stretches skipped.  At slot t the jobs released
+    by t wait in a heap keyed by (deadline, key).  Every waiting job with
+    deadline < t is dropped, in heap order, and then the top job takes t.
+    Yields (t, deadline, key) for each job dropped or kept at slot t, in
+    that order, so a job is kept exactly when its deadline is at least t.
+    The kept jobs form a maximum matching of the convex bipartite graph of
+    jobs and slots (Glover 1967).
+    """
+    items = iter(items)
+    ahead = None if slots is None else iter(slots)
+    item = next(items, None)
     waiting: list = []      # (deadline, key)
-    i, t = 0, None
-    while i < len(items) or waiting:
-        if not waiting:
-            t = items[i][0]
-        while i < len(items) and items[i][0] <= t:
-            heapq.heappush(waiting, items[i][1:])
-            i += 1
-        d, k = heapq.heappop(waiting)
-        kept.append((t, d, k))
-        while waiting and waiting[0][0] <= t:
+    t = None
+    while True:
+        if ahead is not None:
+            t = next(ahead, None)
+        elif waiting:
+            t += 1
+        else:
+            t = None if item is None else item[0]
+        if t is None:
+            return
+        while item is not None and item[0] <= t:
+            heapq.heappush(waiting, item[1:])
+            item = next(items, None)
+        while waiting:
             d, k = heapq.heappop(waiting)
-            dropped.append((t + 1, d, k))
-        t += 1
-    return kept, dropped
+            yield t, d, k
+            if d >= t:
+                break
 
 
 @dataclass(frozen=True)
@@ -379,38 +403,15 @@ class FeasibilityResult:
 
 
 def _edf(inst: Instance, slots=None) -> dict[JobId, int]:
-    """Earliest-deadline-first matching of jobs to slots.
-
-    At each slot the pending jobs past their deadline are dropped and the
-    one with the earliest deadline runs, ties in release order; a job with
-    no deadline is never late.  The slots are ``slots``, or with None every
-    slot from the first release on, idle stretches skipped.  This greedy
-    is a maximum matching of the convex bipartite graph of jobs and slots
-    (Glover 1967).
+    """Earliest-deadline-first matching of jobs to slots by ``_sweep``,
+    ties in release order; a job with no deadline is never late.  The
+    slots are ``slots``, or with None every slot from the first release on.
     """
     jobs = inst.by_release()
-    ahead = None if slots is None else iter(sorted(set(slots)))
-    assignment: dict[JobId, int] = {}
-    pending: list[tuple[float, int, JobId]] = []  # (deadline, order, id)
-    i, t = 0, None
-    while True:
-        if slots is not None:
-            t = next(ahead, None)
-        elif pending:
-            t += 1
-        else:
-            t = jobs[i].release if i < len(jobs) else None
-        if t is None:
-            break
-        while i < len(jobs) and jobs[i].release <= t:
-            d = jobs[i].deadline
-            heapq.heappush(pending, (math.inf if d is None else d, i, jobs[i].id))
-            i += 1
-        while pending and pending[0][0] < t:
-            heapq.heappop(pending)
-        if pending:
-            assignment[heapq.heappop(pending)[2]] = t
-    return assignment
+    items = ((j.release, math.inf if j.deadline is None else j.deadline, i)
+             for i, j in enumerate(jobs))
+    events = _sweep(items, None if slots is None else sorted(set(slots)))
+    return {jobs[k].id: t for t, d, k in events if d >= t}
 
 
 def check_feasible(inst: Instance) -> FeasibilityResult:

@@ -57,19 +57,9 @@ class Interval:
 class HittingSet:
     representatives: dict[object, Fraction]
 
-    def sorted_points(self) -> list[Fraction]:
-        return sorted(self.representatives.values())
-
-    def distinct_points(self) -> list[Fraction]:
-        return sorted(set(self.representatives.values()))
-
     @property
     def cardinality(self) -> int:
         return len(set(self.representatives.values()))
-
-    def max_gap(self) -> Fraction:
-        pts = self.sorted_points()
-        return max((b - a for a, b in zip(pts, pts[1:])), default=Fraction(0))
 
 
 def _by_deadline(intervals) -> list[Interval]:
@@ -310,10 +300,7 @@ def min_points_flow_bound(releases, bound) -> HittingSet:
     an integer or a Fraction: a float would round when added to a release,
     and True is not the bound 1.
     """
-    if isinstance(bound, bool) or not isinstance(bound, numbers.Rational):
-        raise GapSchedError(f"flow bound {bound!r} is not rational")
-    if bound < 0:
-        raise GapSchedError(f"flow bound must be non-negative, got {bound}")
+    require_count("flow bound", bound, 0, numbers.Rational)
     return _cover(_sorted_releases(releases), bound)
 
 
@@ -353,4 +340,4 @@ def min_max_flow_cont(releases, budget: int) -> tuple[int, HittingSet]:
         else:
             p = mid + 1
     best = select_kth(rs, ys, p)
-    return best, min_points_flow_bound(rs, best)
+    return best, _cover(rs, best)

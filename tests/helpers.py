@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
+from fractions import Fraction
 
 from gapsched.core import Instance, Job, NormalizeResult, check_feasible, normalize_distinct
+from gapsched.hitting import HittingSet
 
 
 def make_instance(windows) -> Instance:
@@ -147,23 +150,66 @@ def _mirror(jobs) -> list[Job]:
 def _spread(jobs, order):
     """At every contested release the job with the earliest deadline (then
     the smallest ``order``) keeps it, and the others move one slot right
-    to compete again.  Returns the kept jobs and those whose window
-    collapsed, at their final windows."""
+    to compete again.  A job popped with its deadline before its release,
+    from the input or pushed past its deadline, is removed at that window.
+    Returns the kept jobs and the removed ones, at their final windows."""
     heap = [(j.release, j.deadline, order[j.id], j) for j in jobs]
     heapq.heapify(heap)
     kept, removed = [], []
     prev = None
     while heap:
         r, d, o, j = heapq.heappop(heap)
-        if prev is not None and r <= prev:
-            if prev + 1 > d:
-                removed.append(Job(j.id, prev + 1, d, j.weight))
-            else:
-                heapq.heappush(heap, (prev + 1, d, o, j))
-            continue
-        kept.append(Job(j.id, r, d, j.weight))
-        prev = r
+        if d < r:
+            removed.append(Job(j.id, r, d, j.weight))
+        elif prev is not None and r <= prev:
+            heapq.heappush(heap, (prev + 1, d, o, j))
+        else:
+            kept.append(Job(j.id, r, d, j.weight))
+            prev = r
     return kept, removed
+
+
+def edf_reference(inst: Instance, slots=None) -> dict:
+    """``core._edf`` as one loop over the release-sorted jobs: at each slot
+    the pending jobs past their deadline are dropped and the one with the
+    earliest deadline runs, ties in release order; a job with no deadline
+    is never late.  The slots are ``slots``, or with None every slot from
+    the first release on, idle stretches skipped."""
+    jobs = inst.by_release()
+    ahead = None if slots is None else iter(sorted(set(slots)))
+    assignment = {}
+    pending = []    # (deadline, order, id)
+    i, t = 0, None
+    while True:
+        if slots is not None:
+            t = next(ahead, None)
+        elif pending:
+            t += 1
+        else:
+            t = jobs[i].release if i < len(jobs) else None
+        if t is None:
+            break
+        while i < len(jobs) and jobs[i].release <= t:
+            d = jobs[i].deadline
+            heapq.heappush(pending, (math.inf if d is None else d, i, jobs[i].id))
+            i += 1
+        while pending and pending[0][0] < t:
+            heapq.heappop(pending)
+        if pending:
+            assignment[heapq.heappop(pending)[2]] = t
+    return assignment
+
+
+def distinct_points(hs: HittingSet) -> list[Fraction]:
+    """The distinct representatives of a hitting set, ascending."""
+    return sorted(set(hs.representatives.values()))
+
+
+def max_gap(hs: HittingSet) -> Fraction:
+    """The largest difference between consecutive representatives, 0 for
+    fewer than two."""
+    pts = sorted(hs.representatives.values())
+    return max((b - a for a, b in zip(pts, pts[1:])), default=Fraction(0))
 
 
 def hall_witness_rows(inst: Instance):

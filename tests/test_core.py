@@ -28,6 +28,7 @@ from gapsched.errors import GapSchedError
 
 from helpers import (
     all_window_multisets,
+    edf_reference,
     enumerate_schedules,
     hall_witness_rows,
     job,
@@ -198,6 +199,32 @@ class TestNormalizeDistinct:
             removed += bool(got.removed)
         assert removed > 500
 
+    def test_empty_window_is_removed_at_its_release(self):
+        # The job with window [3, 1] was kept, with removed empty, and
+        # min_gaps on the result raised InfeasibleError.
+        res = normalize_distinct(Instance((Job(0, 3, 1), Job(1, 0, 4))))
+        assert res.removed == (Job(0, 3, 1),)
+        assert res.instance.jobs == (Job(1, 0, 4),)
+
+    def test_empty_windows_take_no_slot(self):
+        """Jobs with d < r are removed at their own windows and change
+        nothing else: the jobs, remap and other removals are those of the
+        instance without them."""
+        rng = random.Random(41)
+        inverted = 0
+        for _ in range(2000):
+            inst = raw_jobs(rng, rng.randint(1, 60))
+            empty = [j for j in inst.jobs if j.deadline < j.release]
+            inverted += bool(empty)
+            got = normalize_distinct(inst)
+            rest = normalize_distinct(Instance(tuple(j for j in inst.jobs if j not in empty)))
+            assert got.instance == rest.instance
+            assert list(got.remap.items()) == list(rest.remap.items())
+            assert [j for j in got.removed if j not in empty] == list(rest.removed)
+            assert set(empty) <= set(got.removed)
+            assert all(j.release <= j.deadline for j in got.instance.jobs)
+        assert inverted > 500
+
     @pytest.mark.parametrize("n", [400, 700, 1000])
     def test_matches_reference_at_scale(self, n):
         self.assert_matches_reference(tight_instance(n))
@@ -335,6 +362,27 @@ class TestCheckFeasible:
         for _ in range(400):
             inst = make_instance(random_windows(rng, rng.randint(1, 6), 10))
             assert check_feasible(inst).feasible == (hall_witness_scan(inst) is None)
+
+
+class TestEdf:
+    def test_matches_reference(self):
+        """The sweep assigns every job to the slot of the one-loop EDF it
+        replaced, in the same order, with and without prescribed slots and
+        with deadline-less jobs: the tie rule that check_feasible's
+        schedules and the min-gaps witnesses rest on."""
+        rng = random.Random(43)
+        for trial in range(3000):
+            horizon = rng.randint(1, 15)
+            jobs = []
+            for i in range(rng.randint(0, 12)):
+                r = rng.randrange(horizon)
+                d = None if rng.random() < 0.2 else r + rng.randint(-2, 6)
+                jobs.append(Job(i, r, d))
+            inst = Instance(tuple(jobs))
+            slots = None if trial % 2 else [rng.randrange(-1, horizon + 6)
+                                            for _ in range(rng.randint(0, 12))]
+            got, ref = core._edf(inst, slots), edf_reference(inst, slots)
+            assert list(got.items()) == list(ref.items())
 
 
 class TestGapStats:

@@ -24,7 +24,7 @@ from gapsched.hitting import (
     viable,
 )
 
-from helpers import planted_normalized
+from helpers import distinct_points, max_gap, planted_normalized
 
 
 def ivs(pairs, weights=None):
@@ -120,14 +120,14 @@ class TestIntervalFields:
 class TestGreedyMinHitting:
     def test_example(self):
         hs = greedy_min_hitting(ivs([(0, 2), (1, 3), (5, 6)]))
-        assert hs.distinct_points() == [2, 6]
+        assert distinct_points(hs) == [2, 6]
         assert hs.cardinality == 2
         # A one-pass iterable is read once, not exhausted before the sweep.
         assert greedy_min_hitting(iter(ivs([(0, 2), (1, 3), (5, 6)]))) == hs
 
     def test_single_interval(self):
         hs = greedy_min_hitting(ivs([(0, 5)]))
-        assert hs.distinct_points() == [5]
+        assert distinct_points(hs) == [5]
 
     def test_nested_family(self):
         hs = greedy_min_hitting(ivs([(0, 9), (2, 7), (4, 5)]))
@@ -387,7 +387,7 @@ class TestViable:
     def test_shared_point_zero(self):
         ok, hs = viable(ivs([(0, 5), (1, 6), (2, 7)]), 0)
         assert ok
-        assert hs.max_gap() == 0
+        assert max_gap(hs) == 0
 
     def test_witness_respects_bound(self):
         rng = random.Random(77)
@@ -396,7 +396,7 @@ class TestViable:
             lam = Fraction(rng.randint(0, 20), rng.randint(1, 5))
             ok, hs = viable(intervals, lam)
             if ok:
-                assert hs.max_gap() <= lam
+                assert max_gap(hs) <= lam
                 for iv in intervals:
                     assert iv.start <= hs.representatives[iv.id] <= iv.end
 
@@ -489,7 +489,7 @@ class TestMinMaxGapCont:
             intervals = ivs([(0, 0), (span, span)] + [(0, span)] * (n - 2))
             lam, hs = min_max_gap_cont(intervals)
             assert lam == Fraction(span, n - 1)
-            assert hs.max_gap() == lam
+            assert max_gap(hs) == lam
 
     def test_common_point_gives_zero(self):
         # Every point sits at the earliest deadline.
@@ -513,7 +513,7 @@ class TestMinMaxGapCont:
             lam_ref, hs_ref = min_max_gap_cont_reference(intervals)
             assert lam_fast == lam_ref
             assert hs_fast == hs_ref
-            assert hs_fast.max_gap() <= lam_fast
+            assert max_gap(hs_fast) <= lam_fast
 
     def test_probes_bounded_by_bisection_depth(self, monkeypatch):
         # One zero probe, one halving per bit of H * (n-1)^2, one witness.
@@ -529,7 +529,7 @@ class TestMinMaxGapCont:
 
         monkeypatch.setattr(SeparationGreedy, "probe", spy)
         lam, hs = min_max_gap_cont(intervals)
-        assert 0 < lam and hs.max_gap() <= lam
+        assert 0 < lam and max_gap(hs) <= lam
         assert probes[-1] == lam
         assert len(probes) <= 2 + (span * 1999 ** 2 - 1).bit_length()
 
@@ -568,7 +568,7 @@ def brute_min_points_cover(releases, bound):
 class TestFlowCoverage:
     def test_example(self):
         hs = min_points_flow_bound([0, 1, 5], 1)
-        assert hs.distinct_points() == [1, 6]
+        assert distinct_points(hs) == [1, 6]
 
     def test_single_release(self):
         assert min_points_flow_bound([4], 3).cardinality == 1
