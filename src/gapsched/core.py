@@ -4,7 +4,9 @@ Unit jobs occupy one integer slot each.  A gap is a maximal run of idle
 slots strictly between the first and last busy slot, so a schedule with
 b blocks has exactly b - 1 gaps.  Everything here but ``LevelBlocks``,
 the store that the gap-count DPs fill, is a pure function over immutable
-values; solvers in the sibling modules build on these primitives.
+values; solvers in the sibling modules build on these primitives.  The
+windowed DPs, max_gaps and the throughput DP, build their grids of window
+starts with ``distinct`` and of slots with ``slot_union``.
 """
 
 from __future__ import annotations
@@ -251,6 +253,39 @@ def require_table_fits(what: str, nbytes: int) -> None:
                             f"cap of {TABLE_CAP} bytes")
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending, sorting ``a`` in place: a
+    sort and a mask, several times faster here than ``np.unique``, which
+    hashes first and imports ``numpy.ma``."""
+    a.sort()
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def slot_union(lo: np.ndarray, hi: np.ndarray, what: str, bytes_per_slot: int) -> np.ndarray:
+    """The slots of the union of the ranges [lo[i], hi[i]], ascending; a
+    range with hi < lo is empty.
+
+    Sorted by start, each range adds its slots past the largest end before
+    it, which the ranges before it cover from their starts on.  The union's
+    size times ``bytes_per_slot``, named by ``what``, is checked against
+    ``require_table_fits`` before any slot is listed, so a union too large
+    to hold is refused in O(n) memory.
+    """
+    order = lo.argsort()
+    lo, hi = lo[order], hi[order]
+    before = np.concatenate((lo[:1] - 1, np.maximum.accumulate(hi)[:-1]))
+    starts = np.maximum(lo, before + 1)
+    counts = np.maximum(hi - starts + 1, 0)
+    require_table_fits(what, int(counts.sum()) * bytes_per_slot)
+    return _ranges(starts, counts)
+
+
 class LevelBlocks:
     """The stored levels of a gap-count DP that adds jobs one at a time.
 
@@ -293,8 +328,17 @@ class LevelBlocks:
         return self.store.item(self.base[k] + u * self.width[k] + min(v, self.end[k] - 1))
 
 
-START = "__start__"
-END = "__end__"
+@dataclass(frozen=True, eq=False)
+class _Sentinel:
+    """The id of a sentinel job of ``augment``: it equals no other id."""
+
+    name: str
+
+    def __repr__(self):
+        return f"<{self.name}>"
+
+
+START, END = _Sentinel("start"), _Sentinel("end")
 
 
 def augment(inst: Instance) -> list[Job]:
@@ -308,7 +352,6 @@ def augment(inst: Instance) -> list[Job]:
 @dataclass(frozen=True)
 class NormalizeResult:
     instance: Instance
-    remap: dict[JobId, Job]
     removed: tuple[Job, ...]
 
 
@@ -355,7 +398,7 @@ def normalize_distinct(inst: Instance) -> NormalizeResult:
 
     out = [job(-k, -d, -t) for t, d, k in reversed(kept)]
     removed = [job(i, t, d) for t, d, i in pushed] + [job(-k, -d, -t) for t, d, k in pulled]
-    return NormalizeResult(Instance(tuple(out)), {j.id: j for j in out}, tuple(removed))
+    return NormalizeResult(Instance(tuple(out)), tuple(removed))
 
 
 def _sweep(items, slots=None):

@@ -18,9 +18,9 @@ closed under the fill's reads, and they hold END's slot, where the top
 query ends: no other end is ever read.  Level k fills only the ends up to
 the first one past d_k and copies that column to the later ends: no job
 of the first k can run past d_k, so every later end holds the same value.
-The working table is sized from the count of these ends, the length of
-the union of the ranges, before they are listed: far-apart long windows
-are refused at O(n) memory.
+``core.slot_union`` lists these ends, and the working table is sized
+from their count, the length of the union of the ranges, before they are
+listed: far-apart long windows are refused at O(n) memory.
 
 One int16 working table holds the level being filled.  Level k changes
 only rows u <= r_k from column r_k on, and its block is those rows up to
@@ -73,8 +73,9 @@ from .core import (
     Schedule,
     augment,
     certify,
+    distinct,
     require_normalized,
-    require_table_fits,
+    slot_union,
 )
 from .errors import GapSchedError
 
@@ -82,24 +83,6 @@ _INT16_MAX = int(np.iinfo(np.int16).max)
 _MAX_JOBS = _INT16_MAX // 2 - 1    # 2(n + 1), a sum of two values, fits int16
 _FLOOR = -(_INT16_MAX // 2)        # plus any value: below 0, above int16's minimum
 _SLAB_BYTES = 256 << 10            # one slab's temporary: slots x rows x columns
-
-
-def _window_ends(jobs: list, span: int) -> list[int]:
-    """The window ends the fill reads, sorted: the slot before each job's
-    release and every slot it may take, [r_j - 1, min(d_j, r_j + span)]."""
-    return sorted({v for j in jobs
-                   for v in range(j.release - 1, min(j.deadline, j.release + span) + 1)})
-
-
-def _count_ends(jobs: list, span: int) -> int:
-    """How many ends ``_window_ends`` lists, from the ranges sorted and
-    merged: each adds its slots past the last end before it."""
-    ranges = sorted((j.release - 1, min(j.deadline, j.release + span)) for j in jobs)
-    count, top = 0, ranges[0][0] - 1
-    for lo, hi in ranges:
-        count += max(0, hi - max(lo - 1, top))
-        top = max(top, hi)
-    return count
 
 
 class _Levels(NamedTuple):
@@ -118,18 +101,21 @@ def _fill(jobs: list) -> _Levels:
     block."""
     n = len(jobs)
     span = 3 * n
-    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}), np.int64)
-    require_table_fits("max_gaps working table", len(ug) * _count_ends(jobs, span) * 2)
-    vg = np.array(_window_ends(jobs, span), dtype=np.int64)
+    rel = np.array([j.release for j in jobs], dtype=np.int64)
+    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    ug = distinct(np.concatenate((rel - 1, rel)))
+    # The window ends: the slot before each job's release and every slot it
+    # may take, [r_j - 1, min(d_j, r_j + span)].
+    vg = slot_union(rel - 1, np.minimum(dl, rel + span),
+                    "max_gaps working table", 2 * len(ug))
     nu, nv = len(ug), len(vg)
-    rel = [j.release for j in jobs]
 
     # Level k's block: rows u <= r_k and columns from r_k through the first
     # end past d_k (or the last end).  Level 0's: every row, one column.
     rows = [nu] + ug.searchsorted(rel, side="right").tolist()
-    end = [1] + np.minimum(vg.searchsorted([j.deadline + 1 for j in jobs]) + 1, nv).tolist()
+    end = [1] + np.minimum(vg.searchsorted(dl + 1) + 1, nv).tolist()
     blocks = LevelBlocks("max_gaps working table and blocks", np.int16, nu * nv * 2,
-                         rel, rows, [0] + vg.searchsorted(rel).tolist(), end)
+                         rel.tolist(), rows, [0] + vg.searchsorted(rel).tolist(), end)
     blocks.block(0)[...] = 1
     # The releases with a bound on either side, below every slot and past
     # every end: its first k + 1 entries bound the releases of jobs < k.

@@ -87,8 +87,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Constraints, Instance, Schedule, certify, edf_max_throughput,
-                   require_count, require_normalized, require_table_fits)
+from .core import (Constraints, Instance, Schedule, certify, distinct, edf_max_throughput,
+                   require_count, require_normalized, require_table_fits, slot_union)
 from .errors import GapSchedError, InfeasibleError
 
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
@@ -96,21 +96,6 @@ _NARROW = 1 << 30         # totals below it fill int32 values
 _BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (budgets x pairs) block
 _KEEP_BYTES = 64 << 20    # the largest windows ``_windows`` keeps after a call
 _EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
-
-
-def _ranges(starts, counts):
-    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - ends + counts, counts) + np.arange(total)
-
-
-def _distinct(a):
-    """The distinct values of ``a``, ascending, sorting ``a`` in place: a
-    sort and a mask, several times faster here than ``np.unique``, which
-    hashes first."""
-    a.sort()
-    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
 class _Windows:
@@ -127,20 +112,16 @@ class _Windows:
         deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
         self.rank_job = np.argsort(release)   # deadline index by release rank
         rel = release[self.rank_job]
-        # Slots within n + 1 of some release: each release's interval, less
-        # the part its predecessor's interval already covers.
-        m = n + 1
-        hi = rel + m
-        lo = np.concatenate(([rel[0] - m], np.maximum(rel[1:] - m, hi[:-1] + 1)))
-        counts = np.maximum(hi - lo + 1, 0)
-        require_table_fits("throughput candidate slots", int(counts.sum()) * 8)
-        slots = self.slots = _ranges(lo, counts)
+        # Slots within n + 1 of some release.  These and the grids below come
+        # from the grid helpers of ``core``, ``slot_union`` and ``distinct``.
+        slots = self.slots = slot_union(rel - (n + 1), rel + (n + 1),
+                                        "throughput candidate slots", 8)
         # The grids and the lookup tables below: about ten int64 per slot.
         require_table_fits("throughput windows", 80 * (len(slots) + n))
         # Every canonical u is a release or the slot before one; every
         # canonical v is a slot - 1, a deadline + 1, or the top query's end.
-        ugrid = self.ugrid = _distinct(np.concatenate((rel - 1, rel)))
-        vgrid = self.vgrid = _distinct(np.concatenate((slots - 1, deadline + 1)))
+        ugrid = self.ugrid = distinct(np.concatenate((rel - 1, rel)))
+        vgrid = self.vgrid = distinct(np.concatenate((slots - 1, deadline + 1)))
         self.nu, self.nv = len(ugrid), len(vgrid)
         if (n + 1) * self.nu * self.nv >= 1 << 63:
             raise GapSchedError(f"{n} jobs over {self.nv} window ends: too many windows")
@@ -246,7 +227,7 @@ class _Windows:
             if k not in pending:
                 continue
             runs = pending.pop(k)  # each sorted and distinct already
-            keys = runs[0] if len(runs) == 1 else _distinct(np.concatenate(runs))
+            keys = runs[0] if len(runs) == 1 else distinct(np.concatenate(runs))
             ncell = len(keys)
             u, v = np.divmod(keys - k * per_level, nv)
             # Candidate slots of job k: slots in [r_k, min(d_k, v)], so a
@@ -277,7 +258,7 @@ class _Windows:
             children = self._keys(
                 k - 1, np.concatenate((u, whose[:lsum], t[lsum:] + (nu + lo))),
                 np.concatenate((v, t[:lsum] + (nv + lo), whose[lsum:] + (v0 - nu))))
-            found(_distinct(children[children >= 0]))
+            found(distinct(children[children >= 0]))
             # Where each cell's left and right children start, less the index
             # of its first pair.
             head = ncell - bounds[:-1]

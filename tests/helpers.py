@@ -102,6 +102,18 @@ def nested_wide(rng: random.Random, n: int) -> Instance:
     return make_instance(short + wide)
 
 
+def slots_in(ranges) -> list[int]:
+    """The slots of the ranges [lo, hi], sorted, by a set: the reference for
+    ``core.slot_union``.  A range with hi < lo is empty."""
+    return sorted({v for lo, hi in ranges for v in range(lo, hi + 1)})
+
+
+def window_ends(jobs, span: int) -> list[int]:
+    """The window ends max_gaps' fill reads, sorted: the slot before each
+    job's release and every slot it may take, [r_j - 1, min(d_j, r_j + span)]."""
+    return slots_in((j.release - 1, min(j.deadline, j.release + span)) for j in jobs)
+
+
 def all_window_multisets(n: int, horizon: int, step: int = 1):
     """Every multiset of n windows over a coarse slot grid."""
     slots = range(0, horizon, step)
@@ -139,8 +151,7 @@ def normalize_distinct_reference(inst: Instance) -> NormalizeResult:
     kept, removed = _spread(inst.jobs, order)
     kept, pulled = _spread(_mirror(kept), {k: -o for k, o in order.items()})
     jobs = sorted(_mirror(kept), key=lambda j: j.deadline)
-    return NormalizeResult(Instance(tuple(jobs)), {j.id: j for j in jobs},
-                           tuple(removed + _mirror(pulled)))
+    return NormalizeResult(Instance(tuple(jobs)), tuple(removed + _mirror(pulled)))
 
 
 def _mirror(jobs) -> list[Job]:

@@ -22,9 +22,12 @@ from gapsched.core import (
     edf_schedule_busy_set,
     gap_stats,
     normalize_distinct,
+    slot_union,
     validate,
 )
 from gapsched.errors import GapSchedError
+from gapsched.max_gaps import max_gaps
+from gapsched.min_gaps import min_gaps
 
 from helpers import (
     all_window_multisets,
@@ -34,14 +37,21 @@ from helpers import (
     job,
     make_instance,
     normalize_distinct_reference,
+    random_feasible_normalized,
     random_raw_windows,
     random_windows,
     release_instance,
+    slots_in,
 )
 
 
 def sched(inst, slots_by_id):
     return Schedule(inst, dict(slots_by_id))
+
+
+def by_id(res):
+    """The jobs of a normalized instance by id, in deadline order."""
+    return {j.id: j for j in res.instance.jobs}
 
 
 def raw_jobs(rng, n):
@@ -126,15 +136,15 @@ class TestNormalizeDistinct:
     def test_release_tie_pushes_later_deadline_job(self):
         inst = make_instance([(0, 2), (0, 3)])
         res = normalize_distinct(inst)
-        assert res.remap[0] == Job(0, 0, 2)
-        assert res.remap[1] == Job(1, 1, 3)
+        assert by_id(res)[0] == Job(0, 0, 2)
+        assert by_id(res)[1] == Job(1, 1, 3)
         assert not res.removed
 
     def test_deadline_tie_pulls_earlier_release_job(self):
         inst = make_instance([(0, 5), (1, 5)])
         res = normalize_distinct(inst)
-        assert res.remap[0] == Job(0, 0, 4)
-        assert res.remap[1] == Job(1, 1, 5)
+        assert by_id(res)[0] == Job(0, 0, 4)
+        assert by_id(res)[1] == Job(1, 1, 5)
 
     def test_collapsing_window_is_removed(self):
         inst = make_instance([(2, 2), (2, 2)])
@@ -146,9 +156,9 @@ class TestNormalizeDistinct:
     def test_cascaded_ties_keep_smallest_deadline_in_place(self):
         inst = make_instance([(0, 9), (0, 5), (1, 6)])
         res = normalize_distinct(inst)
-        assert res.remap[1] == Job(1, 0, 5)
-        assert res.remap[2] == Job(2, 1, 6)
-        assert res.remap[0] == Job(0, 2, 9)
+        assert by_id(res)[1] == Job(1, 0, 5)
+        assert by_id(res)[2] == Job(2, 1, 6)
+        assert by_id(res)[0] == Job(0, 2, 9)
 
     def test_output_sorted_and_distinct(self):
         rng = random.Random(7)
@@ -185,12 +195,12 @@ class TestNormalizeDistinct:
     def assert_matches_reference(inst):
         got, ref = normalize_distinct(inst), normalize_distinct_reference(inst)
         assert got.instance.jobs == ref.instance.jobs
-        assert list(got.remap.items()) == list(ref.remap.items())
+        assert list(by_id(got).items()) == list(by_id(ref).items())
         assert got.removed == ref.removed
         return got
 
     def test_matches_reference(self):
-        """The one-sweep passes give the jobs, remap and removed list, in
+        """The one-sweep passes give the jobs and the removed list, in
         order, of the slot-by-slot heap they replaced."""
         rng = random.Random(29)
         removed = 0
@@ -208,7 +218,7 @@ class TestNormalizeDistinct:
 
     def test_empty_windows_take_no_slot(self):
         """Jobs with d < r are removed at their own windows and change
-        nothing else: the jobs, remap and other removals are those of the
+        nothing else: the jobs and the other removals are those of the
         instance without them."""
         rng = random.Random(41)
         inverted = 0
@@ -219,7 +229,7 @@ class TestNormalizeDistinct:
             got = normalize_distinct(inst)
             rest = normalize_distinct(Instance(tuple(j for j in inst.jobs if j not in empty)))
             assert got.instance == rest.instance
-            assert list(got.remap.items()) == list(rest.remap.items())
+            assert list(by_id(got).items()) == list(by_id(rest).items())
             assert [j for j in got.removed if j not in empty] == list(rest.removed)
             assert set(empty) <= set(got.removed)
             assert all(j.release <= j.deadline for j in got.instance.jobs)
@@ -754,3 +764,125 @@ class TestLevelBlocks:
         monkeypatch.setattr(core, "TABLE_CAP", 117)
         with pytest.raises(GapSchedError, match="^test tables would take 118 bytes"):
             small_level_blocks()
+
+
+def random_ranges(rng, n):
+    """n ranges [lo, hi] around 0, in no order: anywhere, nested in an
+    earlier one, adjacent to one on either side, or empty (hi < lo)."""
+    ranges = []
+    for _ in range(n):
+        kind = rng.randrange(4) if ranges else 0
+        if kind == 0:
+            lo = rng.randint(-60, 60)
+            hi = lo + rng.randint(-3, 25)
+        elif kind == 1:
+            a, b = rng.choice(ranges)
+            lo = rng.randint(a, max(a, b))
+            hi = rng.randint(lo - 1, max(lo, b))
+        elif kind == 2:
+            a, b = rng.choice(ranges)
+            width = rng.randint(0, 8)
+            lo, hi = (b + 1, b + 1 + width) if rng.random() < 0.5 else (a - 1 - width, a - 1)
+        else:
+            lo = rng.randint(-60, 60)
+            hi = lo - rng.randint(1, 5)
+        ranges.append((lo, hi))
+    return ranges
+
+
+def union(ranges, what="test slots", bytes_per_slot=8):
+    lo, hi = (np.array([r[i] for r in ranges], dtype=np.int64) for i in (0, 1))
+    return slot_union(lo, hi, what, bytes_per_slot)
+
+
+class TestSlotUnion:
+    def test_matches_the_set_of_slots(self):
+        rng = random.Random(67)
+        empty = negative = unsorted = 0
+        for _ in range(3000):
+            ranges = random_ranges(rng, rng.randint(0, 30))
+            got = union(ranges)
+            assert got.dtype == np.int64
+            assert got.tolist() == slots_in(ranges), ranges
+            empty += any(hi < lo for lo, hi in ranges)
+            negative += any(lo < 0 for lo, _ in ranges)
+            unsorted += ranges != sorted(ranges)
+        assert min(empty, negative, unsorted) > 1000
+
+    @pytest.mark.parametrize("ranges, slots", [
+        ([], []),
+        ([(3, 2)], []),
+        ([(5, 9), (6, 7)], [5, 6, 7, 8, 9]),          # nested
+        ([(4, 5), (1, 3)], [1, 2, 3, 4, 5]),          # adjacent, unsorted
+        ([(-3, -2), (0, 0), (-9, -10)], [-3, -2, 0]),  # disjoint, negative, empty
+        ([(0, 4), (2, 8), (2, 1)], list(range(9))),   # overlapping, empty at a tie
+    ])
+    def test_examples(self, ranges, slots):
+        assert union(ranges).tolist() == slots
+
+    def test_cap_counts_the_union(self, monkeypatch):
+        ranges = [(0, 9), (5, 14), (20, 20), (30, 29)]    # 16 slots
+        monkeypatch.setattr(core, "TABLE_CAP", 48)
+        assert len(union(ranges, "test slots", 3)) == 16
+        monkeypatch.setattr(core, "TABLE_CAP", 47)
+        with pytest.raises(GapSchedError, match="^test slots would take 48 bytes"):
+            union(ranges, "test slots", 3)
+
+    def test_refused_before_listing(self, monkeypatch):
+        # 2000 ranges of 10**8 slots would list 1.6 TB of slots.
+        def no_listing(starts, counts):
+            raise AssertionError("slots listed before the table check")
+
+        monkeypatch.setattr(core, "_ranges", no_listing)
+        ranges = [(i * 10**9, i * 10**9 + 10**8 - 1) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapSchedError, match=f"^test slots would take {16 * 10**11} bytes"):
+                union(ranges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_throughput_candidate_slots(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            inst = random_feasible_normalized(rng, n, rng.randint(n, 40 * n))
+            if inst is None:
+                continue
+            win = throughput._Windows(inst)
+            assert win.slots.tolist() == slots_in((j.release - n - 1, j.release + n + 1)
+                                                  for j in inst.jobs)
+
+    def test_distinct(self):
+        rng = random.Random(73)
+        for n in range(40):
+            a = np.array([rng.randint(-5, 5) for _ in range(n)], dtype=np.int64)
+            assert core.distinct(a.copy()).tolist() == sorted(set(a.tolist()))
+
+
+class TestSentinels:
+    def test_sentinels_equal_no_other_id(self):
+        assert core.START is not core.END and core.START != core.END
+        for jid in ("__start__", "__end__", "<start>", "<end>", 0, None):
+            assert jid not in (core.START, core.END)
+        assert (repr(core.START), repr(core.END)) == ("<start>", "<end>")
+
+    @pytest.mark.parametrize("jid", ["__start__", "__end__", "<start>", "<end>"])
+    def test_user_id_spelled_like_a_sentinel(self, jid):
+        # With the string sentinels "__start__" and "__end__", min_gaps
+        # refused "__end__" as a duplicate id and max_gaps dropped its job.
+        rng = random.Random(79)
+        instances = [Instance((Job(jid, 0, 1), Job(1, 3, 4), Job(2, 6, 6)))]
+        while len(instances) < 25:
+            inst = random_feasible_normalized(rng, rng.randint(1, 6), 12)
+            if inst is not None:
+                first, *rest = inst.jobs
+                instances.append(Instance((Job(jid, first.release, first.deadline), *rest)))
+        for inst in instances:
+            for solve, exhaustive in ((min_gaps, oracle.oracle_min_gaps),
+                                      (max_gaps, oracle.oracle_max_gaps)):
+                value, sched = solve(inst)
+                assert value == exhaustive(inst)[0], (solve.__name__, inst)
+                assert validate(sched, inst, Constraints(require_all=True)) == []

@@ -28,11 +28,11 @@ from gapsched.core import (
     validate,
 )
 from gapsched.errors import GapSchedError
-from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, _window_ends, max_gaps
+from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
 from helpers import (job, make_instance, nested_wide, planted_normalized,
-                     random_feasible_normalized)
+                     random_feasible_normalized, window_ends)
 
 
 def normalized(windows):
@@ -86,10 +86,11 @@ class TestOracleEquivalence:
             assert max_gaps(inst)[0] == oracle_max_gaps(inst)[0]
 
 
-def every_end_to_3n_past_release(jobs, span):
-    """The v-axis as it was before it held only the ends the fill reads:
-    every r_j + c with -1 <= c <= span + 1."""
-    return sorted({j.release + c for j in jobs for c in range(-1, span + 2)})
+def every_end_to_3n_past_release(lo, hi, what, bytes_per_slot):
+    """``slot_union`` as the v-axis was before it held only the ends the
+    fill reads: for the n ranges [r_j - 1, hi_j], every r_j + c with
+    -1 <= c <= 3n + 1."""
+    return np.array(sorted({int(r) + c for r in lo + 1 for c in range(-1, 3 * len(lo) + 2)}))
 
 
 class TestWindowEnds:
@@ -109,12 +110,22 @@ class TestWindowEnds:
             if inst is not None:
                 instances.append(inst)
         expected = [max_gaps(inst) for inst in instances]
-        monkeypatch.setattr(max_gaps_module, "_window_ends",
-                            every_end_to_3n_past_release)
+        monkeypatch.setattr(max_gaps_module, "slot_union", every_end_to_3n_past_release)
         for inst, (value, sched) in zip(instances, expected):
             old_value, old_sched = max_gaps(inst)
             assert value == old_value, inst
             assert sched.assignment == old_sched.assignment, inst
+
+    def test_grid_is_the_set_of_window_ends(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            inst = planted_normalized(rng, n, rng.randint(n, 12 * n), rng.randint(1, 3 * n))
+            jobs = augment(inst)
+            levels = _fill(jobs)
+            assert levels.vg.tolist() == window_ends(jobs, 3 * len(jobs))
+            assert levels.ug.tolist() == sorted({r for j in jobs
+                                                 for r in (j.release - 1, j.release)})
 
     def test_far_apart_short_windows_fit_the_cap(self):
         # At 3n + 3 window ends per release these value levels were
@@ -135,7 +146,7 @@ def max_gaps_reference(inst: Instance) -> tuple[int, dict]:
     n = len(jobs)
     span = 3 * n
     ugrid = sorted({r for j in jobs for r in (j.release - 1, j.release)})
-    vgrid = _window_ends(jobs, span)
+    vgrid = window_ends(jobs, span)
     ui = {u: i for i, u in enumerate(ugrid)}
     vi = {v: i for i, v in enumerate(vgrid)}
     nu, nv = len(ugrid), len(vgrid)
@@ -282,10 +293,10 @@ class TestJobLimit:
         inst = make_instance([(i, i) for i in range(_MAX_JOBS - 1)])
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1 << 40)
 
-        def no_grid(jobs, span):
+        def no_grid(starts, counts):
             raise AssertionError("window ends built before the job count check")
 
-        monkeypatch.setattr(max_gaps_module, "_window_ends", no_grid)
+        monkeypatch.setattr(gapsched.core, "_ranges", no_grid)
         with pytest.raises(GapSchedError, match=f"{_MAX_JOBS + 1} jobs"):
             max_gaps(inst)
 
@@ -302,10 +313,10 @@ class TestJobLimit:
         n = 2000
         inst = Instance(tuple(Job(i, 10 * n * i, 10 * n * i + 5 * n) for i in range(n)))
 
-        def no_grid(jobs, span):
+        def no_grid(starts, counts):
             raise AssertionError("window ends listed before the table check")
 
-        monkeypatch.setattr(max_gaps_module, "_window_ends", no_grid)
+        monkeypatch.setattr(gapsched.core, "_ranges", no_grid)
         tracemalloc.start()
         try:
             with pytest.raises(GapSchedError, match="max_gaps working table would take"):

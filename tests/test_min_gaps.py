@@ -20,11 +20,12 @@ from gapsched.core import (
     validate,
 )
 from gapsched.errors import GapSchedError, InfeasibleError
-from gapsched.max_gaps import _window_ends, max_gaps
+from gapsched.max_gaps import max_gaps
 from gapsched.min_gaps import _choice, _gaps, _stretch, min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
-from helpers import make_instance, nested_wide, planted_normalized, random_feasible_normalized
+from helpers import (make_instance, nested_wide, planted_normalized, random_feasible_normalized,
+                     window_ends)
 
 
 def window_jobs(tables, k, a, b):
@@ -401,7 +402,7 @@ def max_gaps_work_bytes(inst):
     """The nu x nv working table, 2 bytes a cell."""
     jobs = augment(inst)
     ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
-    return len(ugrid) * len(_window_ends(jobs, 3 * len(jobs))) * 2
+    return len(ugrid) * len(window_ends(jobs, 3 * len(jobs))) * 2
 
 
 def max_gaps_table_bytes(inst):
@@ -410,7 +411,7 @@ def max_gaps_table_bytes(inst):
     past d_k; 2 bytes a cell."""
     jobs = augment(inst)
     ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
-    vgrid = _window_ends(jobs, 3 * len(jobs))
+    vgrid = window_ends(jobs, 3 * len(jobs))
     cells = len(ugrid)
     for j in jobs:
         rows = sum(u <= j.release for u in ugrid)
