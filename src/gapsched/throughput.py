@@ -64,19 +64,28 @@ is stored: skip wins every tie, then the first slot, then the first left
 budget h.  A cell that no choice attains is refused with GapSchedError.
 
 Discovery depends on neither budget nor weights, so every fill
-(``_Solver``) on an instance shares its ``_Windows``.  ``_windows`` retains
-the last instance's when its arrays take at most 64 MiB, so a sweep over
-budgets on one instance discovers once, and a large instance leaves
-nothing behind once its call returns.
+(``_Solver``) on an instance shares its ``_Windows``.  The module keeps one
+entry, for the last instance solved: its windows and at most one fill per
+weighting.  The entry is dropped whole when another instance comes, and
+kept only while its windows take at most 64 MiB; a fill is kept only while
+windows and fills together stay within that, and is otherwise used and
+dropped.  A large instance so leaves nothing behind once its call returns.
+The entry holds the fills, and a fill holds the windows, never the other
+way round, so the entry dies by reference counting alone.
 
 Budgets are prefix-closed.  A cell's entry at counted budget g combines
 only entries <= g of its sub-cells, ties go to skip, then the first slot
 and split in a fixed order, and the base vectors for budget B are
-prefixes of those for any larger budget.  So a solver sized to budget B
-gives every g <= B the same value and the same witness as a larger one.
-``min_gaps_for_throughput`` relies on this: it solves at a small interior
-budget and doubles it, capped at n - 1, only while the threshold is not
-met, instead of sizing one solve to n - 1 whatever the answer.
+prefixes of those for any larger budget.  So a fill at budget B gives
+every g <= B the same value and the same witness as a larger one, and a
+kept fill answers every budget up to its own.  The first fill for an
+instance and weighting is made at the budget asked, so a lone call costs
+no more than its own fill; a later ask above the kept budget fills at the
+first of 4, 8, 16, ... capped at n - 1 that covers it, so a sweep over
+small budgets fills twice per weighting, and further asks up to 4 are
+answered from the kept fill.  ``min_gaps_for_throughput`` asks budgets
+in that same sequence and stops at the first that meets the threshold,
+instead of sizing one fill to n - 1 whatever the answer.
 """
 
 from __future__ import annotations
@@ -94,7 +103,7 @@ from .errors import GapSchedError, InfeasibleError
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
 _NARROW = 1 << 30         # totals below it fill int32 values
 _BLOCK_BYTES = 1 << 20    # the fill's temporaries: one (budgets x pairs) block
-_KEEP_BYTES = 64 << 20    # the largest windows ``_windows`` keeps after a call
+_KEEP_BYTES = 64 << 20    # the most the kept entry's windows and fills take
 _EMPTY_WINDOW, _NO_JOB = 0, 1  # rows of the two base vectors
 
 
@@ -465,20 +474,38 @@ class _Solver:
                             f"counted budget {g}")
 
 
-_last = None  # (instance, its _Windows): the one entry _windows keeps
+_last = None  # (instance, its _Windows, {weighted: kept _Solver}): the one entry kept
 
 
-def _windows(inst: Instance) -> _Windows:
-    """The windows of ``inst``, reused while calls stay on one instance
-    whose windows take at most _KEEP_BYTES."""
+def _entry(inst: Instance) -> tuple[Instance, _Windows, dict]:
+    """The kept entry of ``inst``, or a new one, kept when its windows take
+    at most _KEEP_BYTES."""
     global _last
-    hit = _last
-    if hit is None or hit[0] != inst:
-        hit = _last = None  # never hold two structures at once
-        hit = inst, _Windows(inst)
-        if hit[1].nbytes() <= _KEEP_BYTES:
-            _last = hit
-    return hit[1]
+    entry = _last
+    if entry is None or entry[0] != inst:
+        entry = _last = None  # never hold two structures at once
+        entry = inst, _Windows(inst), {}
+        if entry[1].nbytes() <= _KEEP_BYTES:
+            _last = entry
+    return entry
+
+
+def _solver(entry: tuple, weighted: bool, gaps: int) -> _Solver:
+    """A fill covering interior budget ``gaps`` (at most n - 1): the entry's
+    kept one for this weighting if its budget covers ``gaps``, else a new
+    one, kept while the windows and the fills take at most _KEEP_BYTES.
+    The first fill is made at ``gaps``, a later one at the first of 4, 8,
+    16, ... capped at n - 1 that covers it."""
+    _, win, fills = entry
+    if weighted in fills:
+        if fills[weighted].budget >= gaps + 2:
+            return fills[weighted]
+        del fills[weighted]  # never hold two fills of one weighting
+        gaps = min(max(4, 1 << (gaps - 1).bit_length()), win.n - 1)
+    solver = _Solver(win, weighted, gaps + 2)
+    if win.nbytes() + sum(f.val.nbytes for f in fills.values()) + solver.val.nbytes <= _KEEP_BYTES:
+        fills[weighted] = solver
+    return solver
 
 
 def max_throughput(inst: Instance, gaps: int,
@@ -491,7 +518,7 @@ def max_throughput(inst: Instance, gaps: int,
         return 0, Schedule(inst, {})
     # n jobs leave at most n - 1 interior gaps, so larger budgets add nothing.
     counted = min(gaps, len(inst.jobs) - 1) + 2
-    solver = _Solver(_windows(inst), weighted, counted)
+    solver = _solver(_entry(inst), weighted, counted - 2)
     value = solver.values()[counted]
     sched = Schedule(inst, solver.witness(counted))
     certify(sched, inst, Constraints(max_gaps=gaps), value,
@@ -502,7 +529,12 @@ def max_throughput(inst: Instance, gaps: int,
 def min_gaps_for_throughput(inst: Instance, threshold: int,
                             weighted: bool = False) -> tuple[int, Schedule]:
     """Fewest interior gaps among schedules reaching the throughput
-    threshold."""
+    threshold.
+
+    Asks fills at interior budgets 4, 8, 16, ... capped at n - 1, and reads
+    each one's budgets not read yet, so a kept fill at a larger budget
+    answers at once and a fill at n - 1 is made only when a smaller one
+    falls short."""
     require_count("throughput threshold", threshold, None)
     require_normalized(inst)
     if threshold <= 0:
@@ -516,22 +548,19 @@ def min_gaps_for_throughput(inst: Instance, threshold: int,
         if best < threshold:
             raise InfeasibleError(f"at most {best} jobs are schedulable")
     cap = len(inst.jobs) - 1
+    # A fill at interior budget 4 costs about 2.2 fills at 0 on 24-32 jobs
+    # and 2.7 on 60-80; starting at 1 would take three fills to get there.
+    entry = _entry(inst)
     checked = -1  # interior budgets up to here fall short of the threshold
-    # The windows are discovered once, so a doubling costs only a fill.  A
-    # fill at interior budget 4 costs about 2.2 fills at 0 on 24-32 jobs and
-    # 2.7 on 60-80; starting at 1 would take three fills to get there.
-    win = _windows(inst)
-    gaps = min(4, cap)
-    while True:
-        solver = _Solver(win, weighted, gaps + 2)
+    while checked < cap:
+        solver = _solver(entry, weighted, min(max(4, 2 * checked), cap))
         vals = solver.values()
-        for g in range(checked + 1, gaps + 1):
+        for g in range(checked + 1, solver.budget - 1):
             if vals[g + 2] >= threshold:
                 sched = Schedule(inst, solver.witness(g + 2))
                 certify(sched, inst, Constraints(min_throughput=threshold,
                                                  weighted=weighted),
                         g, "gap_count")
                 return g, sched
-        if gaps == cap:
-            raise InfeasibleError(f"throughput {threshold} is unreachable")
-        checked, gaps = gaps, min(2 * gaps, cap)
+        checked = solver.budget - 2
+    raise InfeasibleError(f"throughput {threshold} is unreachable")

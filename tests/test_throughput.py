@@ -1,8 +1,10 @@
 """Throughput under a gap budget, and gap minimization under a floor."""
 
 import bisect
+import gc
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -179,22 +181,33 @@ def sweep(inst, before=lambda: None):
     return out
 
 
-def refusal_peaks(monkeypatch, refused, before):
-    """Traced peaks of ``max_throughput`` at budget 3 on a planted instance
-    refused under a 1000-byte cap, naming ``refused``, and uncapped;
-    ``before`` runs ahead of each traced solve."""
+def answer(call):
+    """(value, assignment) of one call (inst, "max" or "min", weighted,
+    budget or threshold)."""
+    inst, kind, weighted, arg = call
+    solver = max_throughput if kind == "max" else min_gaps_for_throughput
+    value, sched = solver(inst, arg, weighted)
+    return value, sched.assignment
+
+
+def refusal_peaks(monkeypatch, refused, before, gaps=(3, 3)):
+    """Traced peaks of ``max_throughput`` on a planted instance: at budget
+    ``gaps[1]`` refused under a 1000-byte cap, naming ``refused``, and at
+    ``gaps[0]`` uncapped; ``before`` runs ahead of each traced solve."""
     inst = planted_normalized(random.Random(5), 24, 60, 24)
-    max_throughput(inst, 3)  # lazy imports happen outside the trace
+    max_throughput(inst, 0)  # lazy imports happen outside the trace
     tracemalloc.start()
     try:
         before()
-        max_throughput(inst, 3)
+        max_throughput(inst, gaps[0])
         full = tracemalloc.get_traced_memory()[1]
+        # A fresh trace: the fill that solve kept is not the refused one's.
+        tracemalloc.stop()
         before()
-        tracemalloc.reset_peak()
+        tracemalloc.start()
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", 1000)
         with pytest.raises(GapSchedError, match=f"{refused} .* above the cap of 1000"):
-            max_throughput(inst, 3)
+            max_throughput(inst, gaps[1])
         return tracemalloc.get_traced_memory()[1], full
     finally:
         tracemalloc.stop()
@@ -339,10 +352,10 @@ class TestGuards:
         peak, full = refusal_peaks(monkeypatch, "windows", cold)
         assert peak < full // 20, (peak, full)
 
-    def test_cap_refuses_values_on_a_hit(self, monkeypatch):
-        # The windows are retained; the values table depends on the budget,
-        # so the fill checks it before allocating.
-        peak, full = refusal_peaks(monkeypatch, "values", lambda: None)
+    def test_cap_refuses_values_on_a_hit(self, monkeypatch, cold):
+        # The windows and a fill at 4 are kept; budget 5 needs a new fill,
+        # which checks its values table before allocating.
+        peak, full = refusal_peaks(monkeypatch, "values", lambda: None, (3, 5))
         assert peak < full // 20, (peak, full)
 
     @pytest.mark.parametrize("solve, expect", [
@@ -381,8 +394,8 @@ class TestValueTable:
             values, witnesses = reference_dp(inst, True, budget)
             assert reference_dp(scaled, True, budget) == (
                 tuple(v * K if v >= 0 else -1 for v in values), witnesses)
-            narrow = throughput._Solver(throughput._windows(inst), True, budget)
-            wide = throughput._Solver(throughput._windows(scaled), True, budget)
+            narrow = throughput._Solver(throughput._Windows(inst), True, budget)
+            wide = throughput._Solver(throughput._Windows(scaled), True, budget)
             total = sum(j.weight for j in inst.jobs)
             for solver, weight in ((narrow, total), (wide, total * K)):
                 assert solver.val.dtype == (np.int32 if weight < 2**30 else np.int64)
@@ -402,7 +415,7 @@ class TestValueTable:
         inst = planted_normalized(random.Random(76), 10, 24, 4, max_weight=5)
         for weighted in (False, True):
             for g in range(2, 6):
-                solver = throughput._Solver(throughput._windows(inst), weighted, 5)
+                solver = throughput._Solver(throughput._Windows(inst), weighted, 5)
                 solver.witness(g)  # the intact table has one
                 solver.val[g, solver.win.top_row] += 1
                 with pytest.raises(GapSchedError, match="no choice attains"):
@@ -539,7 +552,7 @@ class TestBudgetGrowth:
         rng = random.Random(68)
         for trial in range(40):
             inst = random_normalized(rng, rng.randint(1, 9), 16, weights=True)
-            win = throughput._windows(inst)
+            win = throughput._Windows(inst)
             small = throughput._Solver(win, True, 3)
             large = throughput._Solver(win, True, len(inst.jobs) + 4)
             assert small.values() == large.values()[:4]
@@ -556,7 +569,7 @@ class TestBudgetGrowth:
                 continue
             budget = len(inst.jobs) + 1
             values, witnesses = reference_dp(inst, weighted, budget)
-            solver = throughput._Solver(throughput._windows(inst), weighted, budget)
+            solver = throughput._Solver(throughput._Windows(inst), weighted, budget)
             assert solver.values() == values, inst
             for g, want in witnesses.items():
                 assert solver.witness(g) == want, (inst, g)
@@ -574,7 +587,7 @@ class TestBudgetGrowth:
                 continue
             budget = len(inst.jobs) + 1
             values, witnesses = reference_dp(inst, weighted, budget)
-            win = throughput._windows(inst)
+            win = throughput._Windows(inst)
             default = throughput._Solver(win, weighted, budget)
             for size in (1, 200):  # one pair per block, then two to six
                 monkeypatch.setattr(throughput, "_BLOCK_BYTES", size)
@@ -723,3 +736,72 @@ class TestSharedWindows:
         got = max_throughput(inst, 3)
         assert found == [inst]
         assert (got[0], got[1].assignment) == (want[0], want[1].assignment)
+
+
+@pytest.mark.usefixtures("cold")
+class TestKeptFills:
+    def test_any_call_order_matches_cold_answers(self, cold):
+        # Budgets up and down, shuffled, across both weightings and two
+        # interleaved instances, then every threshold: each answer is the
+        # one a cold call at exactly that budget gives.
+        rng = random.Random(74)
+        for trial in range(10):
+            pair = [random_normalized(rng, rng.randint(1, 9), 16, weights=True)
+                    for _ in range(2)]
+            budgets = [(inst, "max", w, g) for inst in pair for g in range(len(inst.jobs) + 2)
+                       for w in (False, True)]
+            thresholds = [(inst, "min", w, t) for inst in pair for w in (False, True)
+                          for t in range(1, max_throughput(inst, len(inst.jobs), w)[0] + 1)]
+            want = {}
+            for call in budgets + thresholds:
+                cold()
+                want[call] = answer(call)
+            shuffled = rng.sample(budgets, len(budgets))
+            for order in (budgets, budgets[::-1], shuffled, sorted(budgets, key=lambda c: c[3])):
+                cold()
+                for call in order + thresholds:
+                    assert answer(call) == want[call], call
+            for inst in pair:
+                assert sweep(inst) == sweep(inst, cold), inst
+
+    def test_workload_sweep_fills_twice_per_weighting(self, monkeypatch, cold):
+        # Budgets 0-3 unweighted, then weighted, then every job: a fill at
+        # 0, one at 4 that answers 1-3, and the same weighted; the threshold
+        # is met within the kept unweighted fill at 4.
+        inst = planted_normalized(random.Random(1), 24, 60, 24, max_weight=4)
+        budgets = record_budgets(monkeypatch)
+        for weighted in (False, True):
+            for g in range(4):
+                max_throughput(inst, g, weighted)
+        min_gaps_for_throughput(inst, len(inst.jobs))
+        assert budgets == [0, 4, 0, 4]
+        cold()
+        budgets.clear()
+        max_throughput(inst, 0)
+        assert budgets == [0]  # a lone call fills at its own budget
+
+    def test_kept_entry_dies_with_the_next_instance(self):
+        # No reference cycle: with the cyclic collector off, the previous
+        # instance's windows and fill go as soon as another is solved.
+        a, b = (planted_normalized(random.Random(s), 12, 30, 12) for s in (1, 2))
+        gc.disable()
+        try:
+            max_throughput(a, 1)
+            refs = weakref.ref(throughput._last[1]), weakref.ref(throughput._last[2][False])
+            max_throughput(b, 1)
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_fill_above_the_limit_is_used_not_kept(self, monkeypatch):
+        inst = planted_normalized(random.Random(1), 12, 30, 12)
+        want = answer((inst, "max", False, 1))
+        _, win, fills = throughput._last
+        monkeypatch.setattr(throughput, "_KEEP_BYTES",
+                            win.nbytes() + fills[False].val.nbytes - 1)
+        throughput._last = None
+        budgets = record_budgets(monkeypatch)
+        for _ in range(2):
+            assert answer((inst, "max", False, 1)) == want
+            assert throughput._last[2] == {}
+        assert budgets == [1, 1]
