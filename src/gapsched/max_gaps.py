@@ -22,19 +22,34 @@ of the first k can run past d_k, so every later end holds the same value.
 from their count, the length of the union of the ranges, before they are
 listed: far-apart long windows are refused at O(n) memory.
 
+Every level's candidate slots are listed once, before the working table
+is allocated, by ``_slot_table``, as int32 columns: t is read back as its
+end's column.  Job k's candidates are the slots of [r_k, min(d_k, r_k +
+3n)] at which no job before k is released, since another job must run
+there.  Each slot keeps its split column, that of the next such release
+past it, and the row its right window starts at: that release, or the
+slot just before it.  In release order, the next such release is the
+first one from the first release past t whose job comes before k; it is
+found for every slot at once by binary lifting over a sparse table of
+range minima of the jobs' deadline indices, log n rows of n + 1.  The
+listing is O(S log n) work and O(S + n log n) memory for S slots, and
+the slot table, 12 bytes a slot, is sized from each job's slot count and
+checked with the working table and the blocks before it is listed.
+
 One int16 working table holds the level being filled.  Level k changes
 only rows u <= r_k from column r_k on, and its block is those rows up to
-that first end past d_k.  Its candidate slots are found at once, with
-their columns, next prior releases, split columns and right-factor rows.
-The left factors of all slots, window [u, t - 1], are gathered before the
-level writes.  The right factors form one matrix over slots and block
-columns: a floor that never wins before t, 0 at v = t (an empty window),
-1 up to the split at the next prior release (an idle tail is one gap),
-and from the split on the row the right window starts at, which lies past
-r_k and so is level k - 1's.  Consecutive slots are folded in slabs: each
-slab sums its left and right factors into one buffer of ``_SLAB_BYTES``
-(or of the largest block, if one slot needs more) and raises the block to
-its maximum over the slab.
+that first end past d_k.  The left factors of all its slots, window
+[u, t - 1], are gathered before the level writes.  The right factors form
+one matrix over slots and block columns: a floor that never wins before
+t, 0 at v = t (an empty window), 1 up to the split at the next prior
+release (an idle tail is one gap), and from the split on the row the
+right window starts at, which lies past r_k and so is level k - 1's.
+The part before the split is one gather from a band shared by all
+levels, sliding windows over nv floors, one 0 and nv 1s; the split's own
+columns are copied over it from the working table.  Consecutive slots
+are folded in slabs: each slab sums its left and right factors into one
+buffer of ``_SLAB_BYTES`` (or of the largest block, if one slot needs
+more) and raises the block to its maximum over the slab.
 
 Only the blocks are kept, in a ``core.LevelBlocks`` that holds the read
 rule, keyed by the releases: window [u, v] holds the jobs released in it.
@@ -47,9 +62,11 @@ values in Python scalars.  It walks the job's candidate slots in the fill's
 order and stops at the first whose split attains the cell's value, so a
 later slot that only ties it never wins.  A slot's left and right windows
 are each read at the last job released inside them, found by stepping
-down from job k - 1: at most k - 1 steps a window.  A placed job so costs
-O(n) a slot tried, and at most 3n + 1 slots; the rebuild is O(n^3) at
-worst, against the fill's O(n^5).
+down from job k - 1: at most k - 1 steps a window.  The slots that share
+a split form a run, and inside a run both windows hold the same jobs of
+the first k - 1, so the steps are taken once a run, not once a slot.  A
+placed job so costs O(n) a run and O(1) a slot tried, at most 3n + 1
+slots; the rebuild is O(n^3) at worst, against the fill's O(n^5).
 
 A value is at most n + 1, so a sum of two fits int16 while n is at most
 ``_MAX_JOBS``, sentinels included; a larger n is refused first.  Every
@@ -63,6 +80,7 @@ import bisect
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     END,
@@ -93,7 +111,42 @@ class _Levels(NamedTuple):
     ug: np.ndarray              # window starts u, ascending
     vg: np.ndarray              # window ends v, ascending
     blocks: LevelBlocks         # keyed by the releases
-    slots: list                 # slots[k]: rows t, column, split column, right row
+    slots: list                 # slots[k]: int32 rows column, split column, right row
+
+
+def _slot_table(rel: np.ndarray, cnt: np.ndarray, ug: np.ndarray, vg: np.ndarray) -> list:
+    """Every job's candidate slots, the free ones of the cnt[k] slots from
+    r_k, ascending: slots[k] holds job k's columns, split columns and
+    right-factor rows as three int32 rows, for k from 1."""
+    n = len(rel)
+    # Job k's slots are consecutive ends from r_k's column on; below, k
+    # is the job's index from 0, so the jobs before it are those below k.
+    tcol = np.repeat(vg.searchsorted(rel) - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    ts, k = vg[tcol], np.repeat(np.arange(n), cnt)
+    # The releases ascending, then a bound past every end whose job comes
+    # before every job; p is the first release past t.
+    order = rel.argsort()
+    rs, who = np.append(rel[order], vg[-1] + 2), np.append(order, -1)
+    p = rs.searchsorted(ts, side="right")
+    free = (rs[p - 1] != ts) | (who[p - 1] >= k)    # no job before k released at t
+    tcol, ts, k, p = tcol[free], ts[free], k[free], p[free]
+    # The next prior release is the first from p whose job comes before k:
+    # lift p over every block of 2**j releases whose least job, mins[j],
+    # is k or later.
+    mins = [who]
+    while 1 << len(mins) < n:
+        h = 1 << (len(mins) - 1)
+        mins.append(np.minimum(mins[-1], np.append(mins[-1][h:], np.full(h, -1))))
+    for j in range(len(mins) - 1, -1, -1):
+        p += (mins[j][p] >= k) * (1 << j)
+    # The right window starts at that release, or at the row of the slot
+    # just before it.  A slot with no next release splits past every
+    # column, so its row is never read.
+    nxt = rs[p]
+    table = np.array((tcol, vg.searchsorted(rs)[p],
+                      ug.searchsorted(rs)[p] - (nxt > ts + 1)), dtype=np.int32)
+    at = k.searchsorted(np.arange(n + 1))
+    return [None] + [table[:, a:b] for a, b in zip(at[:-1], at[1:])]
 
 
 def _fill(jobs: list) -> _Levels:
@@ -103,69 +156,48 @@ def _fill(jobs: list) -> _Levels:
     span = 3 * n
     rel = np.array([j.release for j in jobs], dtype=np.int64)
     dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    hi = np.minimum(dl, rel + span)
     ug = distinct(np.concatenate((rel - 1, rel)))
     # The window ends: the slot before each job's release and every slot it
     # may take, [r_j - 1, min(d_j, r_j + span)].
-    vg = slot_union(rel - 1, np.minimum(dl, rel + span),
-                    "max_gaps working table", 2 * len(ug))
-    nu, nv = len(ug), len(vg)
+    vg = slot_union(rel - 1, hi, "max_gaps working table", 2 * len(ug))
+    nu, nv, cnt = len(ug), len(vg), hi - rel + 1
 
     # Level k's block: rows u <= r_k and columns from r_k through the first
     # end past d_k (or the last end).  Level 0's: every row, one column.
+    # The slot table, 3 int32 for each of cnt[k] slots a job, is checked
+    # with them.
     rows = [nu] + ug.searchsorted(rel, side="right").tolist()
     end = [1] + np.minimum(vg.searchsorted(dl + 1) + 1, nv).tolist()
-    blocks = LevelBlocks("max_gaps working table and blocks", np.int16, nu * nv * 2,
+    blocks = LevelBlocks("max_gaps working table, blocks and slots", np.int16,
+                         nu * nv * 2 + 12 * int(cnt.sum()),
                          rel.tolist(), rows, [0] + vg.searchsorted(rel).tolist(), end)
     blocks.block(0)[...] = 1
-    # The releases with a bound on either side, below every slot and past
-    # every end: its first k + 1 entries bound the releases of jobs < k.
-    bounded = np.concatenate(([ug[0] - 1, vg[-1] + 2], rel))
-
-    def candidates(k: int) -> np.ndarray:
-        """Job k's candidate slots, ascending, with their columns, split
-        columns and right-factor rows, as four rows.  Another job must run
-        at its release, so those slots are out; the right window starts at
-        the next prior release past t, or at the row of the slot just
-        before it."""
-        jk = jobs[k - 1]
-        prior = np.sort(bounded[:k + 1])
-        ts = np.arange(jk.release, min(jk.deadline, jk.release + span) + 1)
-        p = prior.searchsorted(ts, side="right")
-        free = prior[p - 1] != ts
-        ts, nxt = ts[free], prior[p[free]]
-        # Job k's slots are consecutive ends from r_k's column on, and the
-        # row of nxt - 1 is the one before nxt's.  A slot with no next
-        # release splits past every column, so its row is never read.
-        tcol = vg.searchsorted(jk.release) + (ts - jk.release)
-        return np.array((ts, tcol, vg.searchsorted(nxt),
-                         ug.searchsorted(nxt) - (nxt > ts + 1)))
+    slots = _slot_table(rel, cnt, ug, vg)
 
     # cur[u][v] is the current level k, filled in place; level 0 is the
-    # empty sub-instance: one all-idle gap.
+    # empty sub-instance: one all-idle gap.  A right factor before its
+    # split is a window of the band: a floor before t, 0 at t, 1 past it.
     cur = np.ones((nu, nv), dtype=np.int16)
     buf = np.empty(max(_SLAB_BYTES // 2, *np.multiply(rows, blocks.width)), np.int16)
-    slots = [None]
+    band = sliding_window_view(np.repeat(np.array([_FLOOR, 0, 1], np.int16), [nv, 1, nv]), nv + 1)
     for k in range(1, n + 1):
-        slots.append(candidates(k))
-        ts, tcol, split, rrow = slots[k]
-        rk, c0, ck = rows[k], tcol[0], end[k]
+        tcol, split, rrow = slots[k]
+        rk, c0, ck = rows[k], int(tcol[0]), end[k]
         # Left factors over u, window [u, t - 1] (t - 1 is the column before
         # t's), read before this level overwrites them.  The first slot is
         # r_k, and the window [r_k, r_k - 1] in the last row is empty.
         lefts = cur[:rk, tcol - 1].T
         lefts[0, -1] = 0
         # Right factors over the block's columns v, window [t + 1, v].
-        cols = np.arange(c0, ck)
-        rights = cur[rrow, c0:ck]
-        np.copyto(rights, 1, where=cols < split[:, None])
-        np.copyto(rights, _FLOOR, where=cols < tcol[:, None])
-        rights[np.arange(len(ts)), tcol - c0] = 0
+        rights = band[nv + c0 - tcol, :ck - c0]
+        np.copyto(rights, cur[rrow, c0:ck], where=np.arange(c0, ck) >= split[:, None])
         cur[:rk, c0:ck] = -1
         s = 0
-        while s < len(ts):
-            cs = tcol[s]
+        while s < len(tcol):
+            cs = int(tcol[s])
             w = ck - cs
-            e = min(len(ts), s + max(1, _SLAB_BYTES // (2 * rk * w)))
+            e = min(len(tcol), s + max(1, _SLAB_BYTES // (2 * rk * w)))
             block = cur[:rk, cs:ck]
             tmp = buf[:(e - s) * rk * w].reshape(e - s, rk, w)
             np.add(lefts[s:e, :, None], rights[s:e, None, cs - c0:], out=tmp)
@@ -196,12 +228,16 @@ def _rebuild(levels: _Levels) -> tuple[int, dict]:
         vc = min(v, end[k] - 1)
         best = cell(k, u, vc)
         lo = ug[u]
-        for t, tcol, split, rrow in zip(*slots[k].tolist()):
+        run = None
+        for tcol, split, rrow in zip(*slots[k].tolist()):
             if tcol > vc:
                 break
-            jl = last_inside(k - 1, lo, t - 1) if lo < t else 0
+            t = vg[tcol]
+            if split != run:    # a new run: its windows hold other jobs
+                run = split
+                jl = last_inside(k - 1, lo, t - 1) if lo < t else 0
+                jr = last_inside(k - 1, ug[rrow], vg[vc]) if split <= vc else 0
             left = cell(jl, u, tcol - 1) if lo < t else 0
-            jr = last_inside(k - 1, ug[rrow], vg[vc]) if split <= vc else 0
             right = cell(jr, rrow, vc) if split <= vc else 0 if tcol == vc else 1
             if left + right == best:
                 return t, tcol, split, rrow, jl, jr

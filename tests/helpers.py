@@ -8,6 +8,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from gapsched.core import Instance, Job, NormalizeResult, check_feasible, normalize_distinct
 from gapsched.hitting import HittingSet
 
@@ -112,6 +114,38 @@ def window_ends(jobs, span: int) -> list[int]:
     """The window ends max_gaps' fill reads, sorted: the slot before each
     job's release and every slot it may take, [r_j - 1, min(d_j, r_j + span)]."""
     return slots_in((j.release - 1, min(j.deadline, j.release + span)) for j in jobs)
+
+
+def max_gaps_slots_reference(jobs) -> list:
+    """max_gaps' candidate slots, found level by level: for each job k of
+    the sentinel-augmented jobs, from 1, its slots ascending with their
+    columns, split columns and right-factor rows, as four rows.  Another job
+    must run at its release, so those slots are out; the right window
+    starts at the next prior release past t, or at the row of the slot just
+    before it."""
+    n = len(jobs)
+    span = 3 * n
+    rel = np.array([j.release for j in jobs], dtype=np.int64)
+    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}), dtype=np.int64)
+    vg = np.array(window_ends(jobs, span), dtype=np.int64)
+    # The releases with a bound on either side, below every slot and past
+    # every end: its first k + 1 entries bound the releases of jobs < k.
+    bounded = np.concatenate(([ug[0] - 1, vg[-1] + 2], rel))
+    slots = [None]
+    for k in range(1, n + 1):
+        jk = jobs[k - 1]
+        prior = np.sort(bounded[:k + 1])
+        ts = np.arange(jk.release, min(jk.deadline, jk.release + span) + 1)
+        p = prior.searchsorted(ts, side="right")
+        free = prior[p - 1] != ts
+        ts, nxt = ts[free], prior[p[free]]
+        # Job k's slots are consecutive ends from r_k's column on, and the
+        # row of nxt - 1 is the one before nxt's.  A slot with no next
+        # release splits past every column, so its row is never read.
+        tcol = vg.searchsorted(jk.release) + (ts - jk.release)
+        slots.append(np.array((ts, tcol, vg.searchsorted(nxt),
+                               ug.searchsorted(nxt) - (nxt > ts + 1))))
+    return slots
 
 
 def all_window_multisets(n: int, horizon: int, step: int = 1):

@@ -31,8 +31,8 @@ from gapsched.errors import GapSchedError
 from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
-from helpers import (job, make_instance, nested_wide, planted_normalized,
-                     random_feasible_normalized, window_ends)
+from helpers import (job, make_instance, max_gaps_slots_reference, nested_wide,
+                     planted_normalized, random_feasible_normalized, window_ends)
 
 
 def normalized(windows):
@@ -93,22 +93,28 @@ def every_end_to_3n_past_release(lo, hi, what, bytes_per_slot):
     return np.array(sorted({int(r) + c for r in lo + 1 for c in range(-1, 3 * len(lo) + 2)}))
 
 
+def three_families(rng: random.Random, count: int, most: int) -> list:
+    """``count`` feasible normalized instances of 1 to ``most`` jobs, in
+    turn random, dense planted and sparse planted."""
+    instances = []
+    while len(instances) < count:
+        n = rng.randint(1, most)
+        kind = len(instances) % 3
+        if kind == 0:
+            inst = random_feasible_normalized(rng, n, 2 * n + 2)
+        elif kind == 1:    # dense: n jobs on about 1.3n slots
+            inst = planted_normalized(rng, n, n + n // 3 + 1, rng.randint(1, n))
+        else:              # sparse: horizon 6n-12n, short windows
+            inst = planted_normalized(rng, n, rng.randint(6 * n, 12 * n),
+                                      rng.randint(1, 3))
+        if inst is not None:
+            instances.append(inst)
+    return instances
+
+
 class TestWindowEnds:
     def test_same_answer_as_every_end_to_3n(self, monkeypatch):
-        rng = random.Random(43)
-        instances = []
-        while len(instances) < 320:
-            n = rng.randint(1, 30)
-            kind = len(instances) % 3
-            if kind == 0:
-                inst = random_feasible_normalized(rng, n, 2 * n + 2)
-            elif kind == 1:    # dense: n jobs on about 1.3n slots
-                inst = planted_normalized(rng, n, n + n // 3 + 1, rng.randint(1, n))
-            else:              # sparse: horizon 6n-12n, short windows
-                inst = planted_normalized(rng, n, rng.randint(6 * n, 12 * n),
-                                          rng.randint(1, 3))
-            if inst is not None:
-                instances.append(inst)
+        instances = three_families(random.Random(43), 320, 30)
         expected = [max_gaps(inst) for inst in instances]
         monkeypatch.setattr(max_gaps_module, "slot_union", every_end_to_3n_past_release)
         for inst, (value, sched) in zip(instances, expected):
@@ -247,6 +253,48 @@ class TestStoredChoiceReference:
             assert (value, sched.assignment) == max_gaps_reference(inst), inst
 
 
+def reach_short_of_deadline(rng: random.Random, w: int) -> Instance:
+    """w long windows from the first slots over m short ones, one every four
+    slots from slot 4.  With m >= 4w, each long job's 3n reach ends before
+    its deadline, and the short jobs, which come before it, are released
+    past its last slot as well as before it."""
+    m = rng.randint(4 * w, 4 * w + 20)
+    short = [(4 * i + 4, 4 * i + 4 + rng.randint(0, 1)) for i in range(m)]
+    long = [(i, 4 * m + 6 + 2 * i + rng.randint(0, 1)) for i in range(w)]
+    return normalized(short + long)
+
+
+class TestSlotTable:
+    def test_every_level_as_listed_level_by_level(self):
+        rng = random.Random(67)
+        instances = three_families(rng, 450, 40)
+        instances += [nested_wide(rng, n) for n in (10, 25, 40, 60)]
+        instances += [make_instance([window]) for window in ((0, 0), (5, 9), (-3, 40))]
+        # The coordinates at the edge of +-2**62 and far-apart short windows.
+        instances += [make_instance([(base, base + 1), (base + 1, base + 3)])
+                      for base in (2**62 - 18, -2**62 + 4)]
+        instances.append(Instance(tuple(Job(i, 2000 * i, 2000 * i + 2) for i in range(200))))
+        reach = [reach_short_of_deadline(rng, w) for w in (1, 2, 3) * 14]
+        beyond = 0
+        for inst in instances + reach:
+            jobs = augment(inst)
+            levels = _fill(jobs)
+            reference = max_gaps_slots_reference(jobs)
+            assert len(levels.slots) == len(reference)
+            for k, (jk, table, listed) in enumerate(zip(jobs, levels.slots[1:], reference[1:]), 1):
+                assert table.dtype == np.int32
+                assert table.tolist() == listed[1:].tolist(), (inst, k)
+                assert levels.vg[table[0]].tolist() == listed[0].tolist(), (inst, k)
+                # The next prior release past the last slot, inside the block.
+                beyond += (jk.release + 3 * len(jobs) < jk.deadline
+                           and table[1, -1] < levels.blocks.end[k])
+        assert len(instances) + len(reach) >= 500
+        assert beyond >= len(reach)
+        for inst in reach:
+            value, sched = max_gaps(inst)
+            assert (value, sched.assignment) == max_gaps_reference(inst), inst
+
+
 class TestRebuild:
     def test_unattained_value_refused(self):
         # The top cell one above what any slot of END attains: a store the
@@ -305,6 +353,33 @@ class TestJobLimit:
         inst = make_instance([(i, i) for i in range(_MAX_JOBS - 2)])
         with pytest.raises(GapSchedError, match="above the cap"):
             max_gaps(inst)
+
+    def test_slot_table_checked_before_it_is_listed(self, monkeypatch):
+        # One check counts the working table, the blocks and the slot
+        # table, 12 bytes for each slot of every job's [r_k, min(d_k, r_k +
+        # 3n)], before the slot table is listed or the blocks allocated.
+        inst = planted_normalized(random.Random(53), 160, 208, 16)
+        jobs = augment(inst)
+        span = 3 * len(jobs)
+        levels = _fill(jobs)
+        total = (len(levels.ug) * len(levels.vg) * 2 + levels.blocks.store.nbytes
+                 + 12 * sum(min(j.deadline, j.release + span) - j.release + 1 for j in jobs))
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", total)
+        max_gaps(inst)
+        monkeypatch.setattr(gapsched.core, "TABLE_CAP", total - 1)
+
+        def no_table(*args):
+            raise AssertionError("slot table listed before the size check")
+
+        monkeypatch.setattr(max_gaps_module, "_slot_table", no_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GapSchedError, match=f"blocks and slots would take {total} bytes"):
+                max_gaps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total // 8, (peak, total)
 
     def test_far_apart_long_windows_refused_before_listing_ends(self, monkeypatch):
         # 2000 windows of 5n slots, 10n apart, give about 12 million window

@@ -408,24 +408,27 @@ def max_gaps_work_bytes(inst):
 def max_gaps_table_bytes(inst):
     """The working table, level 0's column of nu values and level k's block
     for every job k: rows u <= r_k, columns from r_k through the first end
-    past d_k; 2 bytes a cell."""
+    past d_k; 2 bytes a cell.  Then the slot table: 12 bytes for each slot
+    of every job's [r_k, min(d_k, r_k + 3n)]."""
     jobs = augment(inst)
+    span = 3 * len(jobs)
     ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
-    vgrid = window_ends(jobs, 3 * len(jobs))
+    vgrid = window_ends(jobs, span)
     cells = len(ugrid)
     for j in jobs:
         rows = sum(u <= j.release for u in ugrid)
         cols = (sum(j.release <= v <= j.deadline for v in vgrid)
                 + any(v > j.deadline for v in vgrid))
         cells += rows * cols
-    return max_gaps_work_bytes(inst) + cells * 2
+    slots = sum(min(j.deadline, j.release + span) - j.release + 1 for j in jobs)
+    return max_gaps_work_bytes(inst) + cells * 2 + slots * 12
 
 
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
         # min_gaps' key table and blocks take 333 808 B, max_gaps' working
-        # table and blocks 131 004 B; validating the input and sizing the
+        # table, blocks and slots 147 732 B; validating the input and sizing the
         # tables alone peak near 11 400 B in min_gaps and 13 000 B in
         # max_gaps.  max_gaps checks its working table alone before it
         # lists the window ends; the cap is that table's 17 710 B, so the
