@@ -4,9 +4,15 @@ Unit jobs occupy one integer slot each.  A gap is a maximal run of idle
 slots strictly between the first and last busy slot, so a schedule with
 b blocks has exactly b - 1 gaps.  Everything here but ``LevelBlocks``,
 the store that the gap-count DPs fill, is a pure function over immutable
-values; solvers in the sibling modules build on these primitives.  The
-windowed DPs, max_gaps and the throughput DP, build their grids of window
-starts with ``distinct`` and of slots with ``slot_union``.
+values; solvers in the sibling modules build on these primitives.
+
+The one job view every solver reads is kept here.  An ``Instance`` sorts
+its jobs at most once per order, in the cached tuples ``by_deadline`` and
+``by_release``, and ``job_arrays`` gives the three DPs (min_gaps,
+max_gaps and the throughput DP) the int64 columns, release order and
+release ranks of deadline-sorted jobs; the DP modules sort no jobs
+themselves.  The windowed DPs, max_gaps and the throughput DP, build their
+grids of window starts with ``distinct`` and of slots with ``slot_union``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -68,12 +75,19 @@ class Instance:
     def has_deadlines(self) -> bool:
         return all(j.deadline is not None for j in self.jobs)
 
-    def by_deadline(self) -> list[Job]:
-        return sorted(self.jobs, key=lambda j: (j.deadline, j.release))
+    # Each order is sorted on first read and kept in the instance's
+    # __dict__, out of eq, hash and repr; a tuple, so no caller can change it.
+    @cached_property
+    def by_deadline(self) -> tuple[Job, ...]:
+        """The jobs by (deadline, release), ties in input order."""
+        return tuple(sorted(self.jobs, key=lambda j: (j.deadline, j.release)))
 
-    def by_release(self) -> list[Job]:
-        return sorted(self.jobs, key=lambda j: (
-            j.release, j.release if j.deadline is None else j.deadline))
+    @cached_property
+    def by_release(self) -> tuple[Job, ...]:
+        """The jobs by (release, deadline), ties in input order; a job with
+        no deadline counts its release as its deadline."""
+        return tuple(sorted(self.jobs, key=lambda j: (
+            j.release, j.release if j.deadline is None else j.deadline)))
 
     def releases_distinct(self) -> bool:
         rs = [j.release for j in self.jobs]
@@ -346,7 +360,19 @@ def augment(inst: Instance) -> list[Job]:
     slots outside the instance's span."""
     lo = min(j.release for j in inst.jobs) - 2
     hi = max(j.deadline for j in inst.jobs) + 2
-    return [Job(START, lo, lo)] + inst.by_deadline() + [Job(END, hi, hi)]
+    return [Job(START, lo, lo), *inst.by_deadline, Job(END, hi, hi)]
+
+
+def job_arrays(jobs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The array view of deadline-sorted ``jobs`` that the three DPs share:
+    the int64 release and deadline columns, the job indices in release
+    order, and each job's release rank, the inverse of that order.  The
+    order is stable, so tied releases stay in deadline order: it lists the
+    jobs as ``Instance.by_release`` does."""
+    rel = np.array([j.release for j in jobs], dtype=np.int64)
+    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    order = rel.argsort(kind="stable")
+    return rel, dl, order, order.argsort()
 
 
 @dataclass(frozen=True)
@@ -450,7 +476,7 @@ def _edf(inst: Instance, slots=None) -> dict[JobId, int]:
     ties in release order; a job with no deadline is never late.  The
     slots are ``slots``, or with None every slot from the first release on.
     """
-    jobs = inst.by_release()
+    jobs = inst.by_release
     items = ((j.release, math.inf if j.deadline is None else j.deadline, i)
              for i, j in enumerate(jobs))
     events = _sweep(items, None if slots is None else sorted(set(slots)))
@@ -522,7 +548,7 @@ def _hall_witness(inst: Instance) -> tuple[int, int]:
     vpos = np.array([pos[v] for v in vs], dtype=np.int64)
     nu, nv = len(us), len(vs)
     # Jobs as (release rank, deadline rank) cells, in ascending order.
-    jobs = inst.by_release()
+    jobs = inst.by_release
     cells = (np.searchsorted(upos, [pos[j.release] for j in jobs]) * nv
              + np.searchsorted(vpos, [pos[j.deadline] for j in jobs]))
     starts = np.searchsorted(cells, np.arange(nu + 1) * nv)

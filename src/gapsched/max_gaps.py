@@ -92,6 +92,7 @@ from .core import (
     augment,
     certify,
     distinct,
+    job_arrays,
     require_normalized,
     slot_union,
 )
@@ -114,10 +115,12 @@ class _Levels(NamedTuple):
     slots: list                 # slots[k]: int32 rows column, split column, right row
 
 
-def _slot_table(rel: np.ndarray, cnt: np.ndarray, ug: np.ndarray, vg: np.ndarray) -> list:
+def _slot_table(rel: np.ndarray, order: np.ndarray, cnt: np.ndarray, ug: np.ndarray,
+                vg: np.ndarray) -> list:
     """Every job's candidate slots, the free ones of the cnt[k] slots from
     r_k, ascending: slots[k] holds job k's columns, split columns and
-    right-factor rows as three int32 rows, for k from 1."""
+    right-factor rows as three int32 rows, for k from 1.  ``order`` holds
+    the job indices in release order."""
     n = len(rel)
     # Job k's slots are consecutive ends from r_k's column on; below, k
     # is the job's index from 0, so the jobs before it are those below k.
@@ -125,7 +128,6 @@ def _slot_table(rel: np.ndarray, cnt: np.ndarray, ug: np.ndarray, vg: np.ndarray
     ts, k = vg[tcol], np.repeat(np.arange(n), cnt)
     # The releases ascending, then a bound past every end whose job comes
     # before every job; p is the first release past t.
-    order = rel.argsort()
     rs, who = np.append(rel[order], vg[-1] + 2), np.append(order, -1)
     p = rs.searchsorted(ts, side="right")
     free = (rs[p - 1] != ts) | (who[p - 1] >= k)    # no job before k released at t
@@ -154,8 +156,7 @@ def _fill(jobs: list) -> _Levels:
     block."""
     n = len(jobs)
     span = 3 * n
-    rel = np.array([j.release for j in jobs], dtype=np.int64)
-    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    rel, dl, order, _ = job_arrays(jobs)
     hi = np.minimum(dl, rel + span)
     ug = distinct(np.concatenate((rel - 1, rel)))
     # The window ends: the slot before each job's release and every slot it
@@ -173,7 +174,7 @@ def _fill(jobs: list) -> _Levels:
                          nu * nv * 2 + 12 * int(cnt.sum()),
                          rel.tolist(), rows, [0] + vg.searchsorted(rel).tolist(), end)
     blocks.block(0)[...] = 1
-    slots = _slot_table(rel, cnt, ug, vg)
+    slots = _slot_table(rel, order, cnt, ug, vg)
 
     # cur[u][v] is the current level k, filled in place; level 0 is the
     # empty sub-instance: one all-idle gap.  A right factor before its

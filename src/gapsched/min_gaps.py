@@ -60,8 +60,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    END,
-    START,
     Constraints,
     Instance,
     Job,
@@ -70,6 +68,7 @@ from .core import (
     augment,
     certify,
     edf_schedule_busy_set,
+    job_arrays,
     require_normalized,
 )
 from .errors import GapSchedError
@@ -220,13 +219,13 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     if n > _MAX_JOBS:
         raise GapSchedError(f"{n} jobs (sentinels included), above the "
                             f"limit of {_MAX_JOBS}")
-    by_release = sorted(range(n), key=lambda j: jobs[j].release)
-    job_rank = np.argsort(by_release).tolist()
+    rel, _, by_release, rank = job_arrays(jobs)
+    job_rank = rank.tolist()
     # Level k's block: rows a < p_k, columns b > p_k; level 0's: every row,
     # one column.
     blocks = LevelBlocks("min_gaps tables", np.int64, n * n * 8, job_rank, [n] + job_rank,
                          [0] + [p + 1 for p in job_rank], [1] + [n] * n)
-    rank_release = np.array([jobs[j].release for j in by_release], dtype=np.int64)
+    rank_release = rel[by_release]
 
     # Level 0: every window (a, b), a < b, is empty, its stretch the release
     # r_a; the cells a >= b are no window, _FAR.
@@ -283,13 +282,11 @@ def min_gaps(inst: Instance) -> tuple[int, Schedule]:
     tables = min_gaps_tables(inst)
     n = len(tables.jobs)
     value = _gaps(tables.cell(n, 0, n - 1)) - 1
-    busy = tables.reconstruct_busy(n, 0, n - 1)
-    start, end = tables.jobs[0], tables.jobs[-1]
-    aug_inst = Instance(tuple(tables.jobs))
-    full = edf_schedule_busy_set(aug_inst, (start.release,) + busy + (end.release,))
-    if full is None:
+    # The real jobs' busy slots: the sentinels' lie outside every real
+    # window, so earliest deadline first places the real jobs alike with
+    # or without them.
+    sched = edf_schedule_busy_set(inst, tables.reconstruct_busy(n, 0, n - 1))
+    if sched is None:
         raise GapSchedError("DP busy set is not schedulable")
-    sched = Schedule(inst, {j: t for j, t in full.assignment.items()
-                            if j not in (START, END)})
     certify(sched, inst, Constraints(require_all=True), value, "gap_count")
     return value, sched

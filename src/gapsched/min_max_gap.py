@@ -32,7 +32,7 @@ from .hitting import Interval, SeparationGreedy
 
 
 def _intervals(inst: Instance) -> list[Interval]:
-    return [Interval(j.id, j.release, j.deadline) for j in inst.by_deadline()]
+    return [Interval(j.id, j.release, j.deadline) for j in inst.by_deadline]
 
 
 def separation_schedule(inst: Instance, bound: int) -> Schedule | None:

@@ -111,7 +111,7 @@ def _weight(inst: Instance, weighted: bool) -> Callable:
 
 
 class _DeadlineDP:
-    def __init__(self, jobs: list[Job], slots: range):
+    def __init__(self, jobs: tuple[Job, ...], slots: range):
         """jobs in the walk's order, each placed in its window among slots."""
         self.jobs, self.slots, self.n = jobs, slots, len(jobs)
         self.avail = [[j for j, job in enumerate(jobs) if job.release <= t <= job.deadline]
@@ -173,7 +173,7 @@ def _deadline_dp(inst: Instance) -> _DeadlineDP:
     last deadline."""
     if not inst.has_deadlines:
         raise GapSchedError("deadline oracle needs deadlines")
-    jobs = inst.by_deadline()
+    jobs = inst.by_deadline
     lo = min((j.release for j in jobs), default=0)
     hi = max((j.deadline for j in jobs), default=-1)
     _check_caps(len(jobs), hi - lo + 1)
@@ -183,11 +183,11 @@ def _deadline_dp(inst: Instance) -> _DeadlineDP:
 def _flow_dp(inst: Instance) -> _DeadlineDP:
     """Jobs by release, slots [min r, max r + n], each job's deadline the
     last of them; the cap covers the releases alone."""
-    jobs = inst.by_release()
+    jobs = inst.by_release
     lo, hi = (jobs[0].release, jobs[-1].release) if jobs else (0, -1)
     _check_caps(len(jobs), hi - lo + 1)
     last = hi + len(jobs)
-    return _DeadlineDP([replace(j, deadline=last) for j in jobs], range(lo, last + 1))
+    return _DeadlineDP(tuple(replace(j, deadline=last) for j in jobs), range(lo, last + 1))
 
 
 def _full_schedule(inst: Instance, make_spec):

@@ -97,7 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Constraints, Instance, Schedule, certify, distinct, edf_max_throughput,
-                   require_count, require_normalized, require_table_fits, slot_union)
+                   job_arrays, require_count, require_normalized, require_table_fits, slot_union)
 from .errors import GapSchedError, InfeasibleError
 
 _LIMIT = 1 << 62          # bound on total weight and on |coordinates|
@@ -112,14 +112,12 @@ class _Windows:
     non-empty instance, whatever the budget and weights."""
 
     def __init__(self, inst: Instance):
-        jobs = inst.by_deadline()
-        self.jobs = jobs
+        jobs = self.jobs = inst.by_deadline
         self.n = n = len(jobs)
         if any(not -_LIMIT < x < _LIMIT for j in jobs for x in (j.release, j.deadline)):
             raise GapSchedError("coordinates must lie strictly inside +-2**62")
-        release = np.array([j.release for j in jobs], dtype=np.int64)
-        deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
-        self.rank_job = np.argsort(release)   # deadline index by release rank
+        # rank_job: the deadline index of each release rank.
+        release, deadline, self.rank_job, _ = job_arrays(jobs)
         rel = release[self.rank_job]
         # Slots within n + 1 of some release.  These and the grids below come
         # from the grid helpers of ``core``, ``slot_union`` and ``distinct``.

@@ -220,7 +220,7 @@ def edf_reference(inst: Instance, slots=None) -> dict:
     earliest deadline runs, ties in release order; a job with no deadline
     is never late.  The slots are ``slots``, or with None every slot from
     the first release on, idle stretches skipped."""
-    jobs = inst.by_release()
+    jobs = inst.by_release
     ahead = None if slots is None else iter(sorted(set(slots)))
     assignment = {}
     pending = []    # (deadline, order, id)
@@ -263,7 +263,7 @@ def hall_witness_rows(inst: Instance):
     deadline that qualifies gives the narrowest window starting at u.
     None when no window is overfull."""
     by_deadline = [(v, [j.release for j in group]) for v, group
-                   in itertools.groupby(inst.by_deadline(), key=lambda j: j.deadline)]
+                   in itertools.groupby(inst.by_deadline, key=lambda j: j.deadline)]
     best = None
     for u in sorted({j.release for j in inst.jobs}):
         inside = 0

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def hall_witness_scan(inst):
 class TestInstance:
     def test_by_release_orders_ties_by_deadline(self):
         inst = make_instance([(-2, 0), (-2, -1)])
-        assert [j.id for j in inst.by_release()] == [1, 0]
+        assert [j.id for j in inst.by_release] == [1, 0]
 
     @pytest.mark.parametrize("release, deadline", [
         (0, 0.5), (0.5, 3), (Fraction(1, 2), None), (3.0, 3)])
@@ -112,7 +113,28 @@ class TestInstance:
 
     def test_integral_types_accepted(self):
         inst = Instance((Job(0, np.int64(0), np.int32(1)), Job(1, 3, 3), Job(2, 4)))
-        assert [j.release for j in inst.by_release()] == [0, 3, 4]
+        assert [j.release for j in inst.by_release] == [0, 3, 4]
+
+    def test_orders_are_kept_tuples(self):
+        inst = make_instance([(3, 5), (0, 7), (3, 4), (1, 4)])
+        for name, key in (("by_release", lambda j: (j.release, j.deadline)),
+                          ("by_deadline", lambda j: (j.deadline, j.release))):
+            order = getattr(inst, name)
+            assert isinstance(order, tuple)
+            assert order == tuple(sorted(inst.jobs, key=key))
+            assert getattr(inst, name) is order
+
+    def test_kept_orders_leave_eq_hash_and_repr(self):
+        windows = [(3, 5), (0, 7), (3, 4)]
+        inst, fresh = make_instance(windows), make_instance(windows)
+        before = (hash(inst), repr(inst))
+        _ = inst.by_release, inst.by_deadline
+        assert (hash(inst), repr(inst)) == before
+        assert inst == fresh and hash(inst) == hash(fresh)
+        # A replaced instance sorts its own jobs, not the old ones.
+        moved = replace(inst, jobs=(Job(9, -1, 0), *inst.jobs))
+        assert [j.id for j in moved.by_release] == [9, 1, 2, 0]
+        assert [j.id for j in moved.by_deadline] == [9, 2, 0, 1]
 
     @pytest.mark.parametrize("make, field", [
         (lambda v: Job(0, v, 2), "release"),
@@ -130,6 +152,34 @@ class TestInstance:
             with pytest.raises(ValueError, match=f"{field} {value} is not an integer"):
                 make(value)
         assert getattr(make(np.int64(1)), field) == 1
+
+
+class TestJobArrays:
+    def test_columns_and_inverse_orders(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            inst = make_instance(random_raw_windows(rng, rng.randint(0, 12), 10))
+            jobs = inst.by_deadline
+            rel, dl, order, rank = core.job_arrays(jobs)
+            assert rel.dtype == dl.dtype == np.int64
+            assert rel.tolist() == [j.release for j in jobs]
+            assert dl.tolist() == [j.deadline for j in jobs]
+            assert order[rank].tolist() == rank[order].tolist() == list(range(len(jobs)))
+            # Stable: tied releases stay in deadline order.
+            assert [(rel[i], i) for i in order] == sorted(zip(rel, range(len(jobs))))
+
+    def test_release_order_is_by_release(self):
+        # The DPs' release order and Instance.by_release agree, sentinels
+        # included, on normalized instances and on raw ones with ties.
+        rng = random.Random(89)
+        for _ in range(200):
+            raw = make_instance(random_raw_windows(rng, rng.randint(1, 12), 10))
+            for inst in (raw, normalize_distinct(raw).instance):
+                if not inst.jobs:
+                    continue
+                jobs = core.augment(inst)
+                order = core.job_arrays(jobs)[2]
+                assert [jobs[i] for i in order] == list(Instance(tuple(jobs)).by_release)
 
 
 class TestNormalizeDistinct:

@@ -349,7 +349,7 @@ class TestFlowAgainstEnumeration:
             releases = sorted(rng.randrange(8) for _ in range(rng.randint(1, 4)))
             inst = release_instance(releases)
             wide = max(releases) + 2 * len(releases)
-            jobs = [replace(j, deadline=wide) for j in inst.by_release()]
+            jobs = [replace(j, deadline=wide) for j in inst.by_release]
             for g in (0, 1):
                 for objective, solve in ((oracle._TOTAL_FLOW, oracle_min_total_flow),
                                          (oracle._MAX_FLOW, oracle_min_max_flow)):

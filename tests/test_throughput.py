@@ -79,7 +79,7 @@ def reference_dp(inst, weighted, budget):
     """The windowed DP as memoised recursion over ``naive_canon``, with its
     ties spelled out: skip, then the first slot, then the first h.  Returns
     the top values and a witness for every feasible counted budget."""
-    jobs = inst.by_deadline()
+    jobs = inst.by_deadline
     n = len(jobs)
     releases = sorted(j.release for j in jobs)
     slots = sorted({r + s for r in releases for s in range(-n - 1, n + 2)})
