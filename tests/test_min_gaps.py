@@ -21,7 +21,7 @@ from gapsched.core import (
 )
 from gapsched.errors import GapSchedError, InfeasibleError
 from gapsched.max_gaps import max_gaps
-from gapsched.min_gaps import _choice, _gaps, _stretch, min_gaps, min_gaps_tables
+from gapsched.min_gaps import min_gaps, min_gaps_tables
 from gapsched.oracle import oracle_min_gaps
 
 from helpers import (make_instance, nested_wide, planted_normalized, random_feasible_normalized,
@@ -136,7 +136,7 @@ class TestTables:
                 for a in range(n):
                     for b in range(a + 1, n):
                         key = tables.cell(k, a, b)
-                        assert (_gaps(key), _stretch(key)) == \
+                        assert (tables.layout.gaps(key), tables.layout.stretch(key)) == \
                             (gaps[k, a, b], stretch[k, a, b]), (k, a, b)
 
     def test_every_cell_witness_reconstructs(self):
@@ -314,6 +314,25 @@ class TestFillMatchesRowReference:
             done += 1
             assert_tables_match_reference(inst)
 
+    def test_coordinate_scaled_instances(self):
+        # Scaling a feasible instance's coordinates keeps it feasible and
+        # normalized and widens only the key's stretch field, so both key
+        # dtypes meet the reference.
+        rng = random.Random(6011)
+        dtypes = set()
+        done = 0
+        while done < 60:
+            inst = random_feasible_normalized(rng, rng.randint(1, 12), rng.randint(3, 30))
+            if inst is None:
+                continue
+            done += 1
+            f, off = 2 ** rng.randint(10, 25), rng.randint(-2**28, 2**28)
+            inst = make_instance([(j.release * f + off, j.deadline * f + off)
+                                  for j in inst.jobs])
+            dtypes.add(min_gaps_tables(inst).layout.dtype)
+            assert_tables_match_reference(inst)
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+
     @pytest.mark.parametrize("horizon, reach",
                              [(1.3, 3), (1.3, 8), (1.3, 40), (1.3, 200), (20, 3)])
     @pytest.mark.parametrize("n", [30, 60])
@@ -336,16 +355,30 @@ class TestFillMatchesRowReference:
         assert tables.gaps.shape == (n + 1, n, n)
 
 
+def key_bits(inst):
+    """The bits of inst's keys: the split rank's bit_length(n), the stretch
+    field's bit_length(hi - lo + 2) and the gap count's bit_length(n + 2),
+    with n, lo and hi counting the sentinels."""
+    jobs = augment(inst)
+    n, lo, hi = len(jobs), jobs[0].release, jobs[-1].release
+    return n.bit_length() + (hi - lo + 2).bit_length() + (n + 2).bit_length()
+
+
+def key_itemsize(inst):
+    """4 bytes a key when it takes at most 29 bits, else 8."""
+    return 4 if key_bits(inst) <= 29 else 8
+
+
 def min_gaps_table_bytes(inst):
     """The n x n working key table, level 0's column of n keys and level k's
-    block of p_k rows and n - p_k - 1 columns for every job k, 8 bytes a
-    cell."""
+    block of p_k rows and n - p_k - 1 columns for every job k, at
+    ``key_itemsize`` bytes a cell."""
     n = len(inst.jobs) + 2                       # sentinels included
-    return (n * n + n + sum(p * (n - p - 1) for p in range(n))) * 8
+    return (n * n + n + sum(p * (n - p - 1) for p in range(n))) * key_itemsize(inst)
 
 
 class TestStoredBlocks:
-    def test_blocks_are_int64_and_total_the_guard_figure(self):
+    def test_blocks_take_the_layout_dtype_and_total_the_guard_figure(self):
         inst = planted_normalized(random.Random(3), 12, 16, 4)
         tables = min_gaps_tables(inst)
         n = len(tables.jobs)
@@ -355,11 +388,11 @@ class TestStoredBlocks:
         for k in range(1, n + 1):
             block = tables.blocks.block(k)
             pk = tables.job_rank[k - 1]
-            assert block.dtype == np.int64
+            assert block.dtype == tables.layout.dtype == np.int32
             assert block.shape == (pk, n - pk - 1)
             stored += block.nbytes
         assert stored == tables.blocks.store.nbytes
-        assert stored + n * n * 8 == min_gaps_table_bytes(inst)
+        assert stored + n * n * tables.layout.dtype.itemsize == min_gaps_table_bytes(inst)
 
     def test_cell_matches_audit_views(self):
         rng = random.Random(7019)
@@ -373,13 +406,42 @@ class TestStoredBlocks:
             tables = min_gaps_tables(inst)
             n = len(tables.jobs)
             gaps, stretch, choice = tables.gaps, tables.stretch, tables.choice
+            lay = tables.layout
             for k, a, b in itertools.product(range(n + 1), range(n), range(n)):
                 key = tables.cell(k, a, b)
-                assert _gaps(key) == gaps[k][a][b], (k, a, b)
-                assert _stretch(key) == stretch[k][a][b], (k, a, b)
+                assert lay.gaps(key) == gaps[k][a][b], (k, a, b)
+                assert lay.stretch(key) == stretch[k][a][b], (k, a, b)
                 # Outside level k's block the choice view reads -1.
                 inside = k > 0 and a < tables.job_rank[k - 1] < b
-                assert (_choice(key) if inside else -1) == choice[k][a][b], (k, a, b)
+                assert (lay.choice(key) if inside else -1) == choice[k][a][b], (k, a, b)
+
+
+class TestKeyLayout:
+    """Keys of at most 29 bits are int32, wider ones int64, and both give the
+    row reference's tables and the oracle's value."""
+
+    WINDOWS = [(0, 2), (1, 1), (3, 5), (4, 4), (7, 11)]
+
+    @pytest.mark.parametrize("bits, dtype", [(29, np.int32), (30, np.int64)])
+    def test_one_slot_wider_takes_int64(self, bits, dtype):
+        # 7 jobs with the sentinels: 3 split bits and 4 gap bits, so the last
+        # job's deadline d sets the stretch field's bit_length(d + 6): 22
+        # bits up to d = 2**22 - 7, 23 from one slot more.
+        d = 2**22 - 7 + bits - 29
+        inst = normalized(self.WINDOWS[:-1] + [(7, d)])
+        assert key_bits(inst) == bits
+        tables = min_gaps_tables(inst)
+        assert tables.layout.dtype == tables.blocks.store.dtype == dtype
+        assert_tables_match_reference(inst)
+        # The last job is released past every other deadline, so it makes a
+        # block of its own wherever it goes: cutting its window back to
+        # (7, 11) changes no gap count, and it ends the witness at its
+        # deadline either way.
+        base = normalized(self.WINDOWS)
+        value, sched = min_gaps(inst)
+        assert value == oracle_min_gaps(base)[0] == 1
+        assert sched.assignment == {**min_gaps(base)[1].assignment, 4: d}
+        assert validate(sched, inst, Constraints(require_all=True)) == []
 
 
 class TestBlockMemory:
@@ -389,6 +451,23 @@ class TestBlockMemory:
         n = len(inst.jobs) + 2
         full = (n + 1) * n * n * 8
         min_gaps(inst)  # lazy imports happen outside the trace
+        tracemalloc.start()
+        try:
+            min_gaps(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full // 4, (peak, full)
+
+    def test_160_jobs_store_int32_and_peak_below_a_quarter_of_full_levels(self):
+        # Every level in full, as int32 keys, takes (n + 1) * n^2 * 4 bytes,
+        # 17.1 MB here; the peak is 3.3 MB, and int64 keys would peak near
+        # 6.5 MB.
+        inst = planted_normalized(random.Random(160), 160, 208, 8)
+        assert min_gaps_tables(inst).blocks.store.dtype == np.int32
+        n = len(inst.jobs) + 2
+        full = (n + 1) * n * n * 4
+        min_gaps(inst)
         tracemalloc.start()
         try:
             min_gaps(inst)
@@ -427,12 +506,12 @@ def max_gaps_table_bytes(inst):
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' key table and blocks take 333 808 B, max_gaps' working
-        # table, blocks and slots 147 732 B; validating the input and sizing the
-        # tables alone peak near 11 400 B in min_gaps and 13 000 B in
-        # max_gaps.  max_gaps checks its working table alone before it
-        # lists the window ends; the cap is that table's 17 710 B, so the
-        # refusal comes from the full figure.
+        # min_gaps' key table and blocks take 166 904 B, in int32 keys of
+        # 20 bits, max_gaps' working table, blocks and slots 147 732 B;
+        # validating the input and sizing the tables alone peak near
+        # 13 000 B in min_gaps and 16 300 B in max_gaps.  max_gaps checks its
+        # working table alone before it lists the window ends; the cap is
+        # that table's 17 710 B, so the refusal comes from the full figure.
         inst = planted_normalized(random.Random(5), 60, 78, 20)
         table_bytes = {min_gaps: min_gaps_table_bytes,
                        max_gaps: max_gaps_table_bytes}[solver](inst)
