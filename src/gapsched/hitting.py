@@ -185,17 +185,17 @@ class SeparationGreedy:
     """The viability greedy of ``viable``, its sorting done once so that a
     search can probe many bounds.
 
-    ``probe(p, q)`` decides the bound lambda = p/q (q > 0) on the line
-    scaled by q: every coordinate is multiplied by q, so each point the
-    greedy places is an integer.  Deadline order ranks the intervals by
-    end first, so the released interval that ends earliest is the one
-    with the smallest index, and a heap of indices serves it.
+    It takes the ids, starts and ends of the intervals in deadline order,
+    by end, then start: ``_by_deadline`` of the intervals, or the jobs of
+    ``Instance.by_deadline``.  ``probe(p, q)`` decides the bound lambda =
+    p/q (q > 0) on the line scaled by q: every coordinate is multiplied by
+    q, so each point the greedy places is an integer.  Deadline order ranks
+    the intervals by end first, so the released interval that ends earliest
+    is the one with the smallest index, and a heap of indices serves it.
     """
 
-    def __init__(self, intervals):
-        self.ivs = _by_deadline(intervals)
-        self.ends = [iv.end for iv in self.ivs]
-        starts = [iv.start for iv in self.ivs]
+    def __init__(self, ids: list, starts: list[int], ends: list[int]):
+        self.ids, self.starts, self.ends = ids, starts, ends
         self.by_release = sorted(range(1, len(starts)), key=starts.__getitem__)
         self.releases = [starts[i] for i in self.by_release]
 
@@ -228,7 +228,13 @@ class SeparationGreedy:
         return points
 
     def witness(self, points: list[int], q: int) -> HittingSet:
-        return HittingSet({iv.id: Fraction(h, q) for iv, h in zip(self.ivs, points)})
+        return HittingSet({i: Fraction(h, q) for i, h in zip(self.ids, points)})
+
+
+def _separation_greedy(intervals) -> SeparationGreedy:
+    ivs = _by_deadline(intervals)
+    return SeparationGreedy([iv.id for iv in ivs], [iv.start for iv in ivs],
+                            [iv.end for iv in ivs])
 
 
 def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
@@ -237,7 +243,7 @@ def viable(intervals, lam) -> tuple[bool, HittingSet | None]:
     Left-to-right greedy: start at the earliest deadline, then repeatedly
     give the earliest-ending reachable interval the latest useful point.
     """
-    greedy = SeparationGreedy(intervals)
+    greedy = _separation_greedy(intervals)
     lam = Fraction(lam)
     points = greedy.probe(lam.numerator, lam.denominator)
     if points is None:
@@ -253,8 +259,8 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
     apart, so once bisection has shrunk the optimum's bracket (lo, hi] to
     that width, the optimum is the smallest such fraction above lo.
     """
-    greedy = SeparationGreedy(intervals)
-    n = len(greedy.ivs)
+    greedy = _separation_greedy(intervals)
+    n = len(greedy.ids)
     if n == 0:
         raise GapSchedError("need at least one interval")
     points = greedy.probe(0, 1)
@@ -263,7 +269,7 @@ def min_max_gap_cont(intervals) -> tuple[Fraction, HittingSet]:
     # n >= 2 here.  At hi every interval is released once the first point,
     # the earliest deadline, is placed, so hi is viable.
     lo = Fraction(0)
-    hi = Fraction(max(iv.start for iv in greedy.ivs) - greedy.ends[0])
+    hi = Fraction(max(greedy.starts) - greedy.ends[0])
     while (hi - lo) * (n - 1) ** 2 > 1:
         mid = (lo + hi) / 2
         if greedy.probe(mid.numerator, mid.denominator) is not None:

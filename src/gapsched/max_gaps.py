@@ -32,24 +32,46 @@ slot just before it.  In release order, the next such release is the
 first one from the first release past t whose job comes before k; it is
 found for every slot at once by binary lifting over a sparse table of
 range minima of the jobs' deadline indices, log n rows of n + 1.  The
-listing is O(S log n) work and O(S + n log n) memory for S slots, and
-the slot table, 12 bytes a slot, is sized from each job's slot count and
-checked with the working table and the blocks before it is listed.
+listing is O(S log n) work and O(S + n log n) memory for S slots.
 
-One int16 working table holds the level being filled.  Level k changes
-only rows u <= r_k from column r_k on, and its block is those rows up to
-that first end past d_k.  The left factors of all its slots, window
-[u, t - 1], are gathered before the level writes.  The right factors form
-one matrix over slots and block columns: a floor that never wins before
-t, 0 at v = t (an empty window), 1 up to the split at the next prior
-release (an idle tail is one gap), and from the split on the row the
-right window starts at, which lies past r_k and so is level k - 1's.
-The part before the split is one gather from a band shared by all
-levels, sliding windows over nv floors, one 0 and nv 1s; the split's own
-columns are copied over it from the working table.  Consecutive slots
-are folded in slabs: each slab sums its left and right factors into one
-buffer of ``_SLAB_BYTES`` (or of the largest block, if one slot needs
-more) and raises the block to its maximum over the slab.
+One int16 working table, ``cur``, holds the level being filled, indexed
+[v][u], so that the fold reads and writes whole rows over the starts.
+Level k changes only starts u <= r_k from end r_k on, and its block is
+those starts up to that first end past d_k.  Slot t's value at end v is
+its left factor, window [u, t - 1], plus its right factor, window
+[t + 1, v]: 0 at v = t (an empty window), 1 up to the split at the next
+prior release (an idle tail is one gap), and from the split on the row
+the right window starts at, which lies past r_k and so is level k - 1's.
+
+The slots that share a split form a run, and they are consecutive ends:
+a slot between two of them would be a prior release.  Along a run the
+left factor never falls: [u, t] holds the same jobs as [u, t - 1], since
+no job before k is released at t, and every schedule of the smaller
+window is one of the larger with no fewer gaps.  So before its run's
+split, end v takes the larger of the slot at v plus 0 and the run's
+latest slot before v plus 1; past the run's last slot, as where the 3n
+reach stops, only the latter.  That is two row gathers, through the
+column maps ``cols[k]``: for each block end, the slot at it and that
+latest slot, each as the row of its end t - 1, and the row past the
+last end, a floor, for none.  From the split on, the slots that also
+share a right row form a group, at most two a run, since only the slot
+just before the release starts its right window at the release.  A
+group's left factor is that of its last slot, and ``groups[k]`` lists
+each group's left-factor row, right row and split column.  Consecutive groups
+are folded in slabs: each slab sums its left and right factors, the
+latter a floor before each group's split, into one buffer of
+``_SLAB_BYTES`` (or of the largest block, if one group needs more) from
+its first group's split, and raises the block to its maximum over the
+slab.  On the seed-1 ``gap-objectives`` pool the fold sums 19.4 M cells,
+and 1.4 M more are gathered, where folding each slot from its own
+column summed 42.5 M.  An empty window [r_k, r_k - 1] holds 0: no level
+writes it, and only job k's first slot reads it.
+
+The maps are listed with the slot table, once per instance: the slot
+table and the groups take 12 bytes a slot and a group, at most one
+group a slot, and the column maps 8 bytes a block column.  They are
+sized from each job's slot count and block width and checked with the
+working table and the blocks before they are listed.
 
 Only the blocks are kept, in a ``core.LevelBlocks`` that holds the read
 rule, keyed by the releases: window [u, v] holds the jobs released in it.
@@ -80,7 +102,6 @@ import bisect
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     END,
@@ -116,15 +137,23 @@ class _Levels(NamedTuple):
 
 
 def _slot_table(rel: np.ndarray, order: np.ndarray, cnt: np.ndarray, ug: np.ndarray,
-                vg: np.ndarray) -> list:
+                vg: np.ndarray, first: np.ndarray, end: np.ndarray) -> tuple[list, list, list]:
     """Every job's candidate slots, the free ones of the cnt[k] slots from
-    r_k, ascending: slots[k] holds job k's columns, split columns and
-    right-factor rows as three int32 rows, for k from 1.  ``order`` holds
-    the job indices in release order."""
+    r_k, ascending, and the fold's maps over them, for k from 1.
+    ``order`` holds the job indices in release order, and job k's block
+    spans the ends first[k] .. end[k] - 1.
+
+    slots[k] holds job k's columns, split columns and right-factor rows as
+    three int32 rows.  A slot's left factor is read at the end before its
+    own, t - 1, and none at the floor row past the last end.  cols[k]
+    holds two such rows for each block end: that of the slot at it, and
+    that of the latest earlier slot whose split lies past it.  groups[k]
+    holds, for each group that splits inside the block, its last slot's
+    left-factor row, its right row and its split column from first[k]."""
     n = len(rel)
     # Job k's slots are consecutive ends from r_k's column on; below, k
     # is the job's index from 0, so the jobs before it are those below k.
-    tcol = np.repeat(vg.searchsorted(rel) - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    tcol = np.repeat(first - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
     ts, k = vg[tcol], np.repeat(np.arange(n), cnt)
     # The releases ascending, then a bound past every end whose job comes
     # before every job; p is the first release past t.
@@ -145,10 +174,36 @@ def _slot_table(rel: np.ndarray, order: np.ndarray, cnt: np.ndarray, ug: np.ndar
     # just before it.  A slot with no next release splits past every
     # column, so its row is never read.
     nxt = rs[p]
-    table = np.array((tcol, vg.searchsorted(rs)[p],
-                      ug.searchsorted(rs)[p] - (nxt > ts + 1)), dtype=np.int32)
+    split, rrow = vg.searchsorted(rs)[p], ug.searchsorted(rs)[p] - (nxt > ts + 1)
+    table = np.array((tcol, split, rrow), dtype=np.int32)
     at = k.searchsorted(np.arange(n + 1))
-    return [None] + [table[:, a:b] for a, b in zip(at[:-1], at[1:])]
+    # Every job's block ends, one block after another: the slot at each
+    # end, by its index from 1 (0 for none), and the latest slot before
+    # it, the latest at or before the previous end; a block's first end
+    # holds its first slot, so it has none before.  The latter is kept
+    # while its split lies past the end.
+    width = end - first
+    col = np.cumsum(width) - width
+    slot_at = np.zeros(width.sum(), dtype=np.int64)
+    slot_at[col[k] + tcol - first[k]] = np.arange(1, len(k) + 1)
+    prev = np.append(0, np.maximum.accumulate(slot_at)[:-1])
+    prev[col] = 0
+    prev *= split[prev - 1] > np.repeat(first - col, width) + np.arange(len(prev))
+    # Each slot's left-factor row, and last the floor row, which slot 0
+    # reads.
+    lrow = np.append(tcol - 1, len(vg))
+    maps = np.array((lrow[slot_at - 1], lrow[prev - 1]), dtype=np.int32)
+    # A group's last slot: its job, split or row differs from the next
+    # slot's.
+    last = np.append((k[1:] != k[:-1]) | (split[1:] != split[:-1]) | (rrow[1:] != rrow[:-1]),
+                     True)
+    g = np.flatnonzero(last & (split < end[k]))
+    groups = np.array((tcol[g] - 1, rrow[g], split[g] - first[k[g]]), dtype=np.int32)
+    gat = k[g].searchsorted(np.arange(n + 1))
+    col = np.append(col, len(slot_at))
+    return ([None] + [table[:, a:b] for a, b in zip(at[:-1], at[1:])],
+            [None] + [maps[:, a:b] for a, b in zip(col[:-1], col[1:])],
+            [None] + [groups[:, a:b] for a, b in zip(gat[:-1], gat[1:])])
 
 
 def _fill(jobs: list) -> _Levels:
@@ -166,46 +221,55 @@ def _fill(jobs: list) -> _Levels:
 
     # Level k's block: rows u <= r_k and columns from r_k through the first
     # end past d_k (or the last end).  Level 0's: every row, one column.
-    # The slot table, 3 int32 for each of cnt[k] slots a job, is checked
-    # with them.
-    rows = [nu] + ug.searchsorted(rel, side="right").tolist()
-    end = [1] + np.minimum(vg.searchsorted(dl + 1) + 1, nv).tolist()
+    # The working table with its floor row, the slot table and the groups,
+    # 3 int32 each for each of cnt[k] slots a job at most, and the column
+    # maps, 2 int32 a block column, are checked with them.
+    top, first = ug.searchsorted(rel, side="right"), vg.searchsorted(rel)
+    last = np.minimum(vg.searchsorted(dl + 1) + 1, nv)
+    rows, end = [nu] + top.tolist(), [1] + last.tolist()
     blocks = LevelBlocks("max_gaps working table, blocks and slots", np.int16,
-                         nu * nv * 2 + 12 * int(cnt.sum()),
-                         rel.tolist(), rows, [0] + vg.searchsorted(rel).tolist(), end)
+                         (nv + 1) * nu * 2 + 24 * int(cnt.sum()) + 8 * int((last - first).sum()),
+                         rel.tolist(), rows, [0] + first.tolist(), end)
     blocks.block(0)[...] = 1
-    slots = _slot_table(rel, order, cnt, ug, vg)
+    slots, cols, groups = _slot_table(rel, order, cnt, ug, vg, first, last)
 
-    # cur[u][v] is the current level k, filled in place; level 0 is the
-    # empty sub-instance: one all-idle gap.  A right factor before its
-    # split is a window of the band: a floor before t, 0 at t, 1 past it.
-    cur = np.ones((nu, nv), dtype=np.int16)
+    # cur[v][u] is the current level k, filled in place; level 0 is the
+    # empty sub-instance: one all-idle gap.  An empty window [r_k, r_k - 1]
+    # holds 0: no level writes it, and only job k's first slot reads it.
+    # The row past the last end, the maps' none, holds a floor.
+    cur = np.ones((nv + 1, nu), dtype=np.int16)
+    cur[first - 1, top - 1] = 0
+    cur[nv] = _FLOOR
     buf = np.empty(max(_SLAB_BYTES // 2, *np.multiply(rows, blocks.width)), np.int16)
-    band = sliding_window_view(np.repeat(np.array([_FLOOR, 0, 1], np.int16), [nv, 1, nv]), nv + 1)
+    columns = np.arange(nv)
     for k in range(1, n + 1):
-        tcol, split, rrow = slots[k]
-        rk, c0, ck = rows[k], int(tcol[0]), end[k]
-        # Left factors over u, window [u, t - 1] (t - 1 is the column before
-        # t's), read before this level overwrites them.  The first slot is
-        # r_k, and the window [r_k, r_k - 1] in the last row is empty.
-        lefts = cur[:rk, tcol - 1].T
-        lefts[0, -1] = 0
-        # Right factors over the block's columns v, window [t + 1, v].
-        rights = band[nv + c0 - tcol, :ck - c0]
-        np.copyto(rights, cur[rrow, c0:ck], where=np.arange(c0, ck) >= split[:, None])
-        cur[:rk, c0:ck] = -1
+        at, before = cols[k]
+        gleft, grow, gsplit = groups[k]
+        rk, c0, ck = rows[k], end[k] - blocks.width[k], end[k]
+        # Each group's left factor over u, window [u, t - 1] for its last
+        # slot t, read before this level overwrites it.
+        lefts = cur[gleft, :rk]
+        # Before its run's split, an end takes the slot at it, 0 on the
+        # right, or the run's latest earlier slot, 1 on the right.
+        block = cur[c0:ck, :rk]
+        np.maximum(cur[at, :rk], cur[before, :rk] + 1, out=block)
+        # From a group's split on, its right factor is the start its right
+        # window takes, past r_k and so level k - 1's.  Consecutive groups
+        # are folded in slabs from the first one's split, each group with
+        # a floor before its own.
+        rights = cur[c0:ck, grow].T
+        np.copyto(rights, _FLOOR, where=columns[:ck - c0] < gsplit[:, None])
         s = 0
-        while s < len(tcol):
-            cs = int(tcol[s])
-            w = ck - cs
-            e = min(len(tcol), s + max(1, _SLAB_BYTES // (2 * rk * w)))
-            block = cur[:rk, cs:ck]
-            tmp = buf[:(e - s) * rk * w].reshape(e - s, rk, w)
-            np.add(lefts[s:e, :, None], rights[s:e, None, cs - c0:], out=tmp)
-            np.maximum(block, tmp.max(axis=0), out=block)
+        while s < len(gleft):
+            cs = int(gsplit[s])
+            w = ck - c0 - cs
+            e = min(len(gleft), s + max(1, _SLAB_BYTES // (2 * rk * w)))
+            tmp = buf[:(e - s) * w * rk].reshape(e - s, w, rk)
+            np.add(lefts[s:e, None, :], rights[s:e, cs:, None], out=tmp)
+            np.maximum(block[cs:], tmp.max(axis=0), out=block[cs:])
             s = e
-        cur[:rk, ck:] = cur[:rk, ck - 1:ck]
-        blocks.block(k)[...] = cur[:rk, c0:ck]
+        cur[ck:nv, :rk] = cur[ck - 1, :rk]
+        blocks.block(k)[...] = block.T
     return _Levels(jobs, ug, vg, blocks, slots)
 
 

@@ -55,15 +55,23 @@ gap + c + 1 and its tail is ``cur``'s key of (c, b).  Every cell a >= b of
 The stored block is the level's minimum with its split field; ``cur``
 takes it with the field cleared.
 
+What a level needs besides ``cur`` is built once per instance, before the
+first level: two n x n key tables with one row a job, the key where job k
+opens a gap, (one gap) + max(edge_f[b], field of d_k), and the usable
+edges, edge_f[c] where job c comes before job k and 0 elsewhere, which no
+after reaches; and each job's release field and each rank's split field
+c + 1.  So "k last" is one maximum, one masked copy and one add, and the
+usable splits are one comparison.
+
 Only the blocks are kept, in a ``core.LevelBlocks`` that holds the read
 rule: level k's block is p_k x (n - p_k - 1) keys, and the ranks p_k run
 over 0 .. n - 1, so all of them take n(n - 1)(n - 2)/6 cells.  Level 0 is
 the empty window's key of each row a, one column.  The keys of the rule
 are the release ranks, so window (a, b) holds the ranks [a + 1, b - 1].
-The working table and the blocks, 4 or 8 bytes a cell, are checked before
-anything is allocated.  ``MinGapsTables.layout`` decodes the stored keys:
-``gaps``, ``stretch`` and ``choice`` expand the blocks to every level in
-full, as int64 keys, for audits only.
+The working table, the two level tables and the blocks, 4 or 8 bytes a
+cell, are checked before anything is allocated.  ``MinGapsTables.layout``
+decodes the stored keys: ``gaps``, ``stretch`` and ``choice`` expand the
+blocks to every level in full, as int64 keys, for audits only.
 """
 
 from __future__ import annotations
@@ -244,13 +252,14 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     if n > _MAX_JOBS:
         raise GapSchedError(f"{n} jobs (sentinels included), above the "
                             f"limit of {_MAX_JOBS}")
-    rel, _, by_release, rank = job_arrays(jobs)
+    rel, dl, by_release, rank = job_arrays(jobs)
     job_rank = rank.tolist()
     lay = KeyLayout.fit(n, lo, hi)
     gap_one, stretch_one = 1 << lay.gap_shift, 1 << lay.stretch_shift
     # Level k's block: rows a < p_k, columns b > p_k; level 0's: every row,
-    # one column.
-    blocks = LevelBlocks("min_gaps tables", lay.dtype, n * n * lay.dtype.itemsize, job_rank,
+    # one column.  The working table and the two level tables take 3n^2
+    # keys.
+    blocks = LevelBlocks("min_gaps tables", lay.dtype, 3 * n * n * lay.dtype.itemsize, job_rank,
                          [n] + job_rank, [0] + [p + 1 for p in job_rank], [1] + [n] * n)
     rank_release = rel[by_release]
 
@@ -258,45 +267,48 @@ def min_gaps_tables(inst: Instance) -> MinGapsTables:
     # r_a; the cells a >= b are no window, _FAR.
     blocks.block(0)[:, 0] = lay.key(0, rank_release)
     cur = np.where(np.triu(np.ones((n, n), dtype=bool), 1), blocks.block(0), lay.far)
-    # Stretch field of r_b - 1, the last slot before release b.
+    # Stretch field of r_b - 1, the last slot before release b.  The level
+    # tables, row k - 1 for job k, by rank: the key where job k opens a
+    # gap, one gap and stretch min(d_k, r_b - 1), and edge_f where job c
+    # comes before job k, else 0, which no row's after field reaches.
     edge_f = lay.key(0, rank_release - 1).astype(lay.dtype)
-    usable = np.zeros(n, dtype=bool)    # by rank: the jobs before job k
-
-    for k in range(1, n + 1):
-        jk = jobs[k - 1]
-        pk = job_rank[k - 1]
+    opens = np.maximum(edge_f, lay.key(0, dl).astype(lay.dtype)[:, None])
+    opens += gap_one
+    edges = np.where(by_release < np.arange(n)[:, None], edge_f, 0)
+    release_f = lay.key(0, rel).astype(lay.dtype)
+    split_f = np.arange(1, n + 1, dtype=lay.dtype)      # split field c + 1 of rank c
+    levels = zip(job_rank, opens, edges, release_f)
+    for k, (pk, opens_k, edges_k, release_k) in enumerate(levels, 1):
         # Rows a < pk and columns b > pk are the cells whose window holds
         # job k; split ranks c lie in the same range as b.
         right = slice(pk + 1, n)
         row = cur[:pk, right]
         gap = row & -gap_one
         after = row - gap - stretch_one     # the stretch field of s + 1
-        edge = edge_f[right]
 
         # Job k last: right after the stretch, or at its release past a gap;
         # the stretch is at most r_b - 1.
-        new_gap = after > lay.key(0, jk.release)
-        at_release = gap_one + np.maximum(edge, lay.key(0, jk.deadline))
         best = blocks.block(k)
-        np.add(gap, np.where(new_gap, at_release, np.maximum(after, edge)), out=best)
+        np.maximum(after, edge_f[right], out=best)
+        np.copyto(best, opens_k[right], where=after > release_k)
+        best += gap
 
         # Job k right before release r_c, for the ranks c some row can use
         # (s + 1 >= r_c - 1): min over c of left[a, c] + tail[c, b], a
         # (min,+) product in blocks of at most 4n^2 values; the left factor
         # carries the split field c + 1.  Rows c > pk are level k - 1's and
         # stay so.
-        ok = usable[right] & (after <= edge)
+        ok = after <= edges_k[right]
         cs = np.flatnonzero(ok.any(axis=0))
-        left = np.where(ok[:, cs], gap[:, cs] + (cs + pk + 2).astype(lay.dtype), lay.far)
-        tail = cur[cs + pk + 1, right]
+        left = np.where(ok[:, cs], gap[:, cs] + split_f[right][cs], lay.far)
+        tail = cur[right][cs, right]
         step = 4 * n * n // max(best.size, 1)
-        del gap, after, new_gap, ok     # the product's blocks set the peak memory
+        del gap, after, ok     # the product's blocks set the peak memory
         for i in range(0, len(cs), step):
             blk = slice(i, i + step)
             np.minimum(best, (left[:, blk, None] + tail[None, blk]).min(axis=1), out=best)
 
         np.bitwise_and(best, -stretch_one, out=row)
-        usable[pk] = True
 
     return MinGapsTables(jobs, rank_release, job_rank, blocks, lay)
 

@@ -28,11 +28,15 @@ from __future__ import annotations
 
 from .core import Constraints, Instance, Schedule, certify, require_normalized
 from .errors import GapSchedError
-from .hitting import Interval, SeparationGreedy
+from .hitting import SeparationGreedy
 
 
-def _intervals(inst: Instance) -> list[Interval]:
-    return [Interval(j.id, j.release, j.deadline) for j in inst.by_deadline]
+def _greedy(inst: Instance) -> SeparationGreedy:
+    """The viability greedy over the job windows, in the instance's
+    deadline order."""
+    jobs = inst.by_deadline
+    return SeparationGreedy([j.id for j in jobs], [j.release for j in jobs],
+                            [j.deadline for j in jobs])
 
 
 def separation_schedule(inst: Instance, bound: int) -> Schedule | None:
@@ -42,11 +46,13 @@ def separation_schedule(inst: Instance, bound: int) -> Schedule | None:
     deadlines its chosen points are pairwise distinct integers, so they
     form a schedule directly.
     """
-    greedy = SeparationGreedy(_intervals(inst))
+    if not inst.has_deadlines or any(j.deadline < j.release for j in inst.jobs):
+        raise GapSchedError("every job needs a deadline at or after its release")
+    greedy = _greedy(inst)
     points = greedy.probe(bound, 1)
     if points is None:
         return None
-    assignment = {iv.id: h for iv, h in zip(greedy.ivs, points)}
+    assignment = dict(zip(greedy.ids, points))
     if len(set(assignment.values())) < len(assignment):
         raise GapSchedError(f"viability greedy at bound {bound} did not give "
                             "distinct integer slots")
@@ -58,7 +64,7 @@ def min_max_gap(inst: Instance) -> tuple[int, Schedule]:
     require_normalized(inst, feasible=True)
     if len(inst.jobs) <= 1:
         return 0, Schedule(inst, {j.id: j.release for j in inst.jobs})
-    greedy = SeparationGreedy(_intervals(inst))
+    greedy = _greedy(inst)
     lo = 1
     hi = max(1, max(j.release for j in inst.jobs) - min(j.deadline for j in inst.jobs))
     while lo < hi:

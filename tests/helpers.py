@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from gapsched.core import Instance, Job, NormalizeResult, check_feasible, normalize_distinct
+from gapsched.core import (Instance, Job, LevelBlocks, NormalizeResult, check_feasible,
+                           normalize_distinct)
 from gapsched.hitting import HittingSet
 
 
@@ -146,6 +147,56 @@ def max_gaps_slots_reference(jobs) -> list:
         slots.append(np.array((ts, tcol, vg.searchsorted(nxt),
                                ug.searchsorted(nxt) - (nxt > ts + 1))))
     return slots
+
+
+def max_gaps_fill_reference(jobs):
+    """max_gaps' level fill with every candidate slot folded on its own,
+    from the slots of ``max_gaps_slots_reference``: the reference for the
+    fold by runs and groups.  Each slot's right factor is a floor before
+    its column, 0 at it, 1 up to its split and from there the row its right
+    window starts at; consecutive slots are folded in slabs of 256 KiB.
+    Returns the ``LevelBlocks`` of the sentinel-augmented ``jobs``, laid
+    out as max_gaps lays them out, and for each level from 1 its slots'
+    left factors, one row a slot over the block's rows."""
+    n = len(jobs)
+    span = 3 * n
+    floor, slab = -(2**14 - 1), 256 << 10
+    ug = np.array(sorted({r for j in jobs for r in (j.release - 1, j.release)}), dtype=np.int64)
+    vg = np.array(window_ends(jobs, span), dtype=np.int64)
+    nu, nv = len(ug), len(vg)
+    rel = np.array([j.release for j in jobs], dtype=np.int64)
+    dl = np.array([j.deadline for j in jobs], dtype=np.int64)
+    rows = [nu] + ug.searchsorted(rel, side="right").tolist()
+    end = [1] + np.minimum(vg.searchsorted(dl + 1) + 1, nv).tolist()
+    blocks = LevelBlocks("reference fill", np.int16, 0, rel.tolist(), rows,
+                         [0] + vg.searchsorted(rel).tolist(), end)
+    blocks.block(0)[...] = 1
+    slots = max_gaps_slots_reference(jobs)
+    cur = np.ones((nu, nv), dtype=np.int16)
+    band = np.lib.stride_tricks.sliding_window_view(
+        np.repeat(np.array([floor, 0, 1], np.int16), [nv, 1, nv]), nv + 1)
+    lefts_by_level = [None]
+    for k in range(1, n + 1):
+        tcol, split, rrow = slots[k][1:]
+        rk, c0, ck = rows[k], int(tcol[0]), end[k]
+        lefts = cur[:rk, tcol - 1].T
+        lefts[0, -1] = 0
+        lefts_by_level.append(lefts.copy())
+        rights = band[nv + c0 - tcol, :ck - c0]
+        np.copyto(rights, cur[rrow, c0:ck], where=np.arange(c0, ck) >= split[:, None])
+        cur[:rk, c0:ck] = -1
+        s = 0
+        while s < len(tcol):
+            cs = int(tcol[s])
+            w = ck - cs
+            e = min(len(tcol), s + max(1, slab // (2 * rk * w)))
+            block = cur[:rk, cs:ck]
+            tmp = lefts[s:e, :, None] + rights[s:e, None, cs - c0:]
+            np.maximum(block, tmp.max(axis=0), out=block)
+            s = e
+        cur[:rk, ck:] = cur[:rk, ck - 1:ck]
+        blocks.block(k)[...] = cur[:rk, c0:ck]
+    return blocks, lefts_by_level
 
 
 def all_window_multisets(n: int, horizon: int, step: int = 1):

@@ -31,8 +31,8 @@ from gapsched.errors import GapSchedError
 from gapsched.max_gaps import _MAX_JOBS, _fill, _rebuild, max_gaps
 from gapsched.oracle import oracle_max_gaps
 
-from helpers import (job, make_instance, max_gaps_slots_reference, nested_wide,
-                     planted_normalized, random_feasible_normalized, window_ends)
+from helpers import (job, make_instance, max_gaps_fill_reference, max_gaps_slots_reference,
+                     nested_wide, planted_normalized, random_feasible_normalized, window_ends)
 
 
 def normalized(windows):
@@ -295,6 +295,43 @@ class TestSlotTable:
             assert (value, sched.assignment) == max_gaps_reference(inst), inst
 
 
+class TestFoldReference:
+    @staticmethod
+    def instances(rng):
+        instances = three_families(rng, 240, 40)
+        instances += [nested_wide(rng, n) for n in (10, 25, 40, 60)]
+        return instances + [reach_short_of_deadline(rng, w) for w in (1, 2, 3) * 4]
+
+    def test_blocks_equal_a_fold_of_every_slot(self):
+        # The fold by runs and groups stores every level's block as the fold
+        # of each slot on its own does, byte for byte.
+        for inst in self.instances(random.Random(71)):
+            jobs = augment(inst)
+            reference, _ = max_gaps_fill_reference(jobs)
+            levels = _fill(jobs)
+            assert levels.blocks.store.dtype == reference.store.dtype
+            assert levels.blocks.store.tobytes() == reference.store.tobytes(), inst
+
+    def test_left_factors_never_fall_along_a_run(self):
+        # The run lemma the fold rests on, on the reference's tables: slots
+        # that share a split are consecutive, their left factors never fall
+        # from one to the next, and they take at most two right rows, the
+        # second only at the slot just before the split's release.
+        runs = twice = 0
+        for inst in self.instances(random.Random(73)):
+            jobs = augment(inst)
+            _, lefts = max_gaps_fill_reference(jobs)
+            for listed, left in zip(max_gaps_slots_reference(jobs)[1:], lefts[1:]):
+                ts, tcol, split, rrow = listed
+                for run in np.split(np.arange(len(ts)), np.flatnonzero(np.diff(split)) + 1):
+                    assert (np.diff(tcol[run]) == 1).all()
+                    assert (np.diff(left[run].astype(int), axis=0) >= 0).all(), inst
+                    assert (rrow[run[:-1]] == rrow[run[0]]).all()
+                    runs += 1
+                    twice += rrow[run[-1]] != rrow[run[0]]
+        assert twice >= 100 and runs - twice >= 100, (runs, twice)
+
+
 class TestRebuild:
     def test_unattained_value_refused(self):
         # The top cell one above what any slot of END attains: a store the
@@ -355,15 +392,18 @@ class TestJobLimit:
             max_gaps(inst)
 
     def test_slot_table_checked_before_it_is_listed(self, monkeypatch):
-        # One check counts the working table, the blocks and the slot
-        # table, 12 bytes for each slot of every job's [r_k, min(d_k, r_k +
-        # 3n)], before the slot table is listed or the blocks allocated.
+        # One check counts the working table with its floor row, the
+        # blocks, the slot table and the groups, 12 bytes each for each
+        # slot of every job's [r_k, min(d_k, r_k + 3n)], and the column
+        # maps, 8 bytes a block column, before the slot table is listed or
+        # the blocks allocated.
         inst = planted_normalized(random.Random(53), 160, 208, 16)
         jobs = augment(inst)
         span = 3 * len(jobs)
         levels = _fill(jobs)
-        total = (len(levels.ug) * len(levels.vg) * 2 + levels.blocks.store.nbytes
-                 + 12 * sum(min(j.deadline, j.release + span) - j.release + 1 for j in jobs))
+        total = (len(levels.ug) * (len(levels.vg) + 1) * 2 + levels.blocks.store.nbytes
+                 + 24 * sum(min(j.deadline, j.release + span) - j.release + 1 for j in jobs)
+                 + 8 * sum(levels.blocks.width[1:]))
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", total)
         max_gaps(inst)
         monkeypatch.setattr(gapsched.core, "TABLE_CAP", total - 1)

@@ -370,11 +370,11 @@ def key_itemsize(inst):
 
 
 def min_gaps_table_bytes(inst):
-    """The n x n working key table, level 0's column of n keys and level k's
-    block of p_k rows and n - p_k - 1 columns for every job k, at
-    ``key_itemsize`` bytes a cell."""
+    """The n x n working key table and the two n x n level tables, level
+    0's column of n keys and level k's block of p_k rows and n - p_k - 1
+    columns for every job k, at ``key_itemsize`` bytes a cell."""
     n = len(inst.jobs) + 2                       # sentinels included
-    return (n * n + n + sum(p * (n - p - 1) for p in range(n))) * key_itemsize(inst)
+    return (3 * n * n + n + sum(p * (n - p - 1) for p in range(n))) * key_itemsize(inst)
 
 
 class TestStoredBlocks:
@@ -392,7 +392,7 @@ class TestStoredBlocks:
             assert block.shape == (pk, n - pk - 1)
             stored += block.nbytes
         assert stored == tables.blocks.store.nbytes
-        assert stored + n * n * tables.layout.dtype.itemsize == min_gaps_table_bytes(inst)
+        assert stored + 3 * n * n * tables.layout.dtype.itemsize == min_gaps_table_bytes(inst)
 
     def test_cell_matches_audit_views(self):
         rng = random.Random(7019)
@@ -485,33 +485,37 @@ def max_gaps_work_bytes(inst):
 
 
 def max_gaps_table_bytes(inst):
-    """The working table, level 0's column of nu values and level k's block
-    for every job k: rows u <= r_k, columns from r_k through the first end
-    past d_k; 2 bytes a cell.  Then the slot table: 12 bytes for each slot
-    of every job's [r_k, min(d_k, r_k + 3n)]."""
+    """The working table with one floor row of nu values, level 0's column
+    of nu values and level k's block for every job k: rows u <= r_k,
+    columns from r_k through the first end past d_k; 2 bytes a cell.  Then
+    the slot table and the groups, 12 bytes each for each slot of every
+    job's [r_k, min(d_k, r_k + 3n)], and the column maps, 8 bytes for each
+    column of every level's block."""
     jobs = augment(inst)
     span = 3 * len(jobs)
     ugrid = {r for j in jobs for r in (j.release - 1, j.release)}
     vgrid = window_ends(jobs, span)
-    cells = len(ugrid)
+    cells, columns = 2 * len(ugrid), 0
     for j in jobs:
         rows = sum(u <= j.release for u in ugrid)
         cols = (sum(j.release <= v <= j.deadline for v in vgrid)
                 + any(v > j.deadline for v in vgrid))
         cells += rows * cols
+        columns += cols
     slots = sum(min(j.deadline, j.release + span) - j.release + 1 for j in jobs)
-    return max_gaps_work_bytes(inst) + cells * 2 + slots * 12
+    return max_gaps_work_bytes(inst) + cells * 2 + slots * 24 + columns * 8
 
 
 class TestTableGuard:
     @pytest.mark.parametrize("solver", [min_gaps, max_gaps])
     def test_cap_refuses_before_allocating(self, solver, monkeypatch):
-        # min_gaps' key table and blocks take 166 904 B, in int32 keys of
-        # 20 bits, max_gaps' working table, blocks and slots 147 732 B;
-        # validating the input and sizing the tables alone peak near
-        # 13 000 B in min_gaps and 16 300 B in max_gaps.  max_gaps checks its
-        # working table alone before it lists the window ends; the cap is
-        # that table's 17 710 B, so the refusal comes from the full figure.
+        # min_gaps' three key tables and blocks take 197 656 B, in int32
+        # keys of 20 bits, max_gaps' working table, blocks and slots
+        # 176 254 B; validating the input and sizing the tables alone peak
+        # near 13 000 B in min_gaps and 17 700 B in max_gaps.  max_gaps
+        # checks its working table alone before it lists the window ends;
+        # the cap is that table's 17 710 B, so the refusal comes from the
+        # full figure.
         inst = planted_normalized(random.Random(5), 60, 78, 20)
         table_bytes = {min_gaps: min_gaps_table_bytes,
                        max_gaps: max_gaps_table_bytes}[solver](inst)

@@ -3,9 +3,12 @@
 import math
 import random
 
+import pytest
+
 from gapsched.core import Constraints, Instance, Job, gap_stats, validate
+from gapsched.errors import GapSchedError
 from gapsched.hitting import Interval, SeparationGreedy, min_max_gap_cont
-from gapsched.min_max_gap import min_max_gap
+from gapsched.min_max_gap import min_max_gap, separation_schedule
 from gapsched.oracle import oracle_solve
 
 from helpers import planted_normalized, random_feasible_normalized
@@ -27,6 +30,15 @@ class TestSmallCases:
         value, sched = min_max_gap(inst)
         assert value == 0
         assert validate(sched, inst, Constraints(require_all=True)) == []
+
+
+    @pytest.mark.parametrize("windows", [[(3, 2), (0, 5)], [(3, None), (0, None)]])
+    def test_separation_schedule_refuses_a_job_with_no_window(self, windows):
+        # The greedy reads each job's window as is, so a deadline before
+        # the release, or none, is refused before it runs.
+        inst = Instance(tuple(Job(i, r, d) for i, (r, d) in enumerate(windows)))
+        with pytest.raises(GapSchedError, match="deadline at or after its release"):
+            separation_schedule(inst, 3)
 
 
 class TestOracleEquivalence:
